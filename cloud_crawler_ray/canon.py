@@ -22,6 +22,7 @@ dedup keys in both.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
 _ANCHOR_RE = re.compile(r"#[a-zA-Z0-9_-]*$")
@@ -58,8 +59,32 @@ _ABS_FAST_RE = re.compile(
 )
 
 
-_REL_FAST_RE = re.compile(r"^/?[a-z0-9_~\-][a-z0-9._~\-/]*$")
-_AUTH_FAST_RE = re.compile(r"^(https?://[a-z0-9.\-]+(?::[0-9]+)?)/")
+# a plain relative reference: unreserved characters and '/', optionally a
+# nonempty query, optionally a trailing #anchor that strip_anchor removes
+# (group 1 is the reference without it); dot segments and "//" are
+# excluded separately
+_REL_FAST_RE = re.compile(
+    r"^(/?[A-Za-z0-9_~\-][A-Za-z0-9._~\-/]*(?:\?[A-Za-z0-9._~=&\-]+)?)(?:#[A-Za-z0-9_\-]*)?$"
+)
+_PAGE_FAST_RE = re.compile(
+    r"^(https?://[a-z0-9.\-]+(?::[0-9]+)?)/[A-Za-z0-9._~!$&'()*+,;=:@%/\-]*$"
+)
+
+
+@lru_cache(maxsize=4096)
+def _join_prefixes(page_url: str) -> tuple[str, str] | None:
+    """(authority, directory) of a page URL against which urljoin of a plain
+    relative reference is string concatenation: lowercase scheme and host,
+    no query or fragment, and no dot segments or empty segments in the
+    path for urljoin to resolve. None for any other page URL."""
+    m = _PAGE_FAST_RE.match(page_url)
+    if m is None:
+        return None
+    auth = m.group(1)
+    path = page_url[len(auth) :]
+    if "//" in path or "/." in path:
+        return None
+    return auth, page_url[: page_url.rfind("/") + 1]
 
 
 def to_absolute(link: str, page_url: str, base_url: str | None = None) -> str | None:
@@ -74,21 +99,17 @@ def to_absolute(link: str, page_url: str, base_url: str | None = None) -> str | 
         # already absolute with a safe charset: anchor-strip, re-encode,
         # urljoin and ensure_path are all provably identity
         return link
-    if (
-        base_url is None
-        and "/." not in link
-        and _REL_FAST_RE.match(link)
-        and "?" not in page_url
-        and "#" not in page_url
-    ):
-        # plain relative reference against a clean page URL: anchor-strip
-        # and re-encode are identity (safe charset, no '#'/'%'), urljoin is
-        # a plain path merge (no dot segments), ensure_path is identity
-        m = _AUTH_FAST_RE.match(page_url)
-        if m:
-            if link[0] == "/":
-                return m.group(1) + link
-            return page_url[: page_url.rfind("/") + 1] + link
+    if base_url is None:
+        m = _REL_FAST_RE.match(link)
+        if m is not None and "/." not in link and "//" not in link:
+            # plain relative reference against a clean page URL: anchor-strip
+            # drops the trailing #anchor, re-encode is identity (safe
+            # charset, no '%'), urljoin is a plain path merge (no dot or
+            # empty segments), ensure_path is identity
+            prefixes = _join_prefixes(page_url)
+            if prefixes is not None:
+                rel = m.group(1)
+                return (prefixes[0] if rel[0] == "/" else prefixes[1]) + rel
     try:
         link = reencode(strip_anchor(str(link)))
         root = base_url if base_url else page_url
@@ -103,10 +124,30 @@ def key_for(url: str) -> str:
     return _WS_RE.sub(" ", str(url).lower().replace("https", "http"))
 
 
+# Fast-path detector: URLs whose canonicalization is key_for's lowercasing
+# and "https" → "http" replacement alone — http(s) scheme, host, nonempty
+# path of unreserved/sub-delim chars, no fragment, no percent-escapes, no
+# whitespace (anchor strip, re-encode and ensure_path leave them as they
+# are). ASCII classes are spelled out: under re.IGNORECASE, [a-z] would
+# also match four non-ASCII letters. Anything else takes the full chain.
+_FAST_RE = re.compile(
+    r"^[hH][tT][tT][pP][sS]?://[A-Za-z0-9.\-]+(?::[0-9]+)?/[A-Za-z0-9._~:/?=&+,;@!$'()*\-]*$"
+)
+
+
 def canonical_url(url: str) -> str:
     """Full canonicalization: anchor strip + re-encode + empty path fix +
     key normalization. Used for the seen-set, in-wave dedup, and doc_id."""
-    return key_for(ensure_path(reencode(strip_anchor(str(url)))))
+    url = str(url)
+    if _FAST_RE.match(url):
+        return url.lower().replace("https", "http")
+    return key_for(ensure_path(reencode(strip_anchor(url))))
+
+
+def canonical_urls(urls: list[str]) -> list[str]:
+    """canonical_url over a list (the fast path inlined per row)."""
+    fast = _FAST_RE.match
+    return [u.lower().replace("https", "http") if fast(u) else canonical_url(u) for u in urls]
 
 
 # port handled explicitly; ':' excluded from the terminator lookahead so a
@@ -139,25 +180,6 @@ def has_query(url: str) -> bool:
         return urlsplit(url).query != ""
     except ValueError:
         return False
-
-
-# Fast-path detector: URLs that canonicalization provably leaves unchanged —
-# lowercase http scheme, host, nonempty path of unreserved/sub-delim chars,
-# no fragment, no percent-escapes, no whitespace, and no "https" substring
-# anywhere (the gsub quirk). For these, canonical_url(u) == u and the host is
-# the authority part. Synthetic-web URLs are all fast-path; anything else
-# falls back to the exact per-row functions.
-_FAST_RE = re.compile(r"^http://[a-z0-9.\-]+(?::[0-9]+)?/[a-z0-9._~:/?=&+,;@!$'()*\-]*$")
-
-
-def is_canonical_fastpath(url: str) -> bool:
-    return bool(_FAST_RE.match(url)) and "https" not in url
-
-
-def canonical_urls(urls: list[str]) -> list[str]:
-    """Vectorized-ish canonicalization: regex fast path (identity) with the
-    exact function for the rest. Bit-identical to canonical_url per row."""
-    return [u if is_canonical_fastpath(u) else canonical_url(u) for u in urls]
 
 
 _USERINFO_RE = re.compile(r"^([a-zA-Z][a-zA-Z0-9+.\-]*://)([^/@?#]*@)")

@@ -27,7 +27,6 @@ from html.parser import HTMLParser
 from .canon import to_absolute
 
 _BASE_RE = re.compile(rb"<base\s+href=[\"']([^\"']+)[\"']", re.I)
-_WS = re.compile(r"\s+")
 
 HTML_TYPES = ("text/html", "application/xhtml+xml")
 XML_TYPES = ("text/xml", "application/xml")
@@ -50,7 +49,9 @@ def scrub(text: str) -> str:
     (and for any valid str — it only matters for exotic inputs)."""
     if not text.isascii():
         text = text.encode("utf-8", "ignore").decode("utf-8", "ignore")
-    return _WS.sub(" ", text).strip()
+    # str.split() splits on exactly the characters \s matches in a str
+    # pattern, so this equals re.sub(r"\s+", " ", text).strip()
+    return " ".join(text.split())
 
 
 @dataclass
@@ -81,6 +82,8 @@ class _SpanParser(HTMLParser):
         self._skip_depth = 0
 
     def _flush_text(self) -> None:
+        if not self._text:
+            return
         txt = scrub("".join(self._text))
         self._text = []
         if txt:
@@ -186,12 +189,13 @@ _CONTENT_RE = re.compile(
 
 
 def _attr_from(attrs_str: str, rx: re.Pattern, name: str) -> list:
-    m = None
-    for m in rx.finditer(attrs_str):  # last occurrence wins (dict(attrs))
-        pass
-    if not m:
+    found = rx.findall(attrs_str)
+    if not found:
         return []
-    val = next((g for g in m.groups() if g is not None), "")
+    # last occurrence wins (dict(attrs)); exactly one of the three value
+    # forms matched, the other groups are empty
+    dq, sq, bare = found[-1]
+    val = dq or sq or bare
     if "&" in val:
         import html as _html
 
@@ -252,21 +256,21 @@ def _fast_feed(handler: _SpanParser, text: str) -> None:
         m = search(text, pos)
         if m is None:
             break
-        if m.start() > pos:
-            data = text[pos : m.start()]
+        start, end = m.span()
+        if start > pos:
+            data = text[pos:start]
             handler.handle_data(_html.unescape(data) if "&" in data else data)
-        pos = m.end()
-        name = m.group(2)
+        pos = end
+        closing, name, attrs_str = m.groups()
         if not name:
             continue  # comment / doctype / processing instruction
         tag = name.lower()
-        if m.group(1):
+        if closing:
             if tag in _RELEVANT_END:
                 handler.handle_endtag(tag)
             continue
         if tag not in _RELEVANT_START:
             continue  # handler no-op either way; skip the call overhead
-        attrs_str = m.group(3) or ""
         if tag == "a":
             attrs = _attr_from(attrs_str, _HREF_RE, "href")
             # rel only when the substring appears — anchors are the hot

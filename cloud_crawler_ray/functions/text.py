@@ -31,7 +31,9 @@ _CJK = re.compile(r"[一-鿿]")
 
 
 def tokenize(text: str) -> list[str]:
-    return [t for t in _WS.split(text.lower()) if t]
+    # str.split() splits on exactly the characters \s matches in a str
+    # pattern and drops empty tokens: the regex split minus empty strings
+    return text.lower().split()
 
 
 def token_count(text: str) -> int:
@@ -66,8 +68,12 @@ def rolling_fingerprint(text: str, window: int = 8, mod: int = 1 << 31) -> int:
     """Polynomial rolling hash over the token stream (Rabin-Karp style) —
     the order-sensitive fingerprint variant; deterministic, not SQL-oracled."""
     h = 0
+    cached = _TOKHASH_CACHE.get  # _tok_hash's lookup, inlined
     for tok in tokenize(text):
-        h = (h * 1000003 + _tok_hash(tok)) % mod
+        th = cached(tok)
+        if th is None:
+            th = _tok_hash(tok)
+        h = (h * 1000003 + th) % mod
     return h
 
 
@@ -76,11 +82,24 @@ def quality_counts(text: str) -> dict[str, int]:
     return {
         "n_chars": len(text),
         "n_tokens": len(toks),
-        "n_stopwords": sum(1 for t in toks if t in STOPWORDS),
-        # C-speed scans (identical counts to the per-char Python loops)
+        # C-speed scans (identical counts to the per-token/per-char loops:
+        # a token equals at most one stopword)
+        "n_stopwords": sum(map(toks.count, STOPWORDS)),
         "n_punct": sum(text.count(c) for c in _PUNCT),
-        "n_alpha": sum(map(str.isalpha, text)),
+        "n_alpha": _n_alpha(text),
     }
+
+
+_ASCII_LETTERS = bytes(range(65, 91)) + bytes(range(97, 123))
+
+
+def _n_alpha(text: str) -> int:
+    """sum(map(str.isalpha, text)); an ASCII text's letters are A-Z, a-z,
+    counted by deleting them from its bytes."""
+    if text.isascii():
+        b = text.encode("ascii")
+        return len(b) - len(b.translate(None, _ASCII_LETTERS))
+    return sum(map(str.isalpha, text))
 
 
 def lang_id(text: str) -> str:

@@ -50,7 +50,9 @@ def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def decode_png(data: bytes) -> np.ndarray:
     """PNG bytes → (H, W, 3) uint8 RGB. Raises ValueError on anything this
-    decoder does not speak (bad signature, interlace, bit depth ≠ 8)."""
+    decoder does not speak (bad signature, interlace, bit depth ≠ 8) and on
+    corrupt input (truncated IHDR, bad IDAT stream, palette index out of
+    range)."""
     if not is_png(data):
         raise ValueError("not a PNG")
     pos = 8
@@ -63,6 +65,8 @@ def decode_png(data: bytes) -> np.ndarray:
         chunk = data[pos + 8 : pos + 8 + length]
         pos += 12 + length  # length + type + data + crc
         if ctype == b"IHDR":
+            if len(chunk) != 13:
+                raise ValueError(f"IHDR of {len(chunk)} bytes, not 13")
             width, height, bit_depth, color_type, _comp, _filt, interlace = (
                 struct.unpack(">IIBBBBB", chunk)
             )
@@ -81,7 +85,10 @@ def decode_png(data: bytes) -> np.ndarray:
     if color_type not in _CHANNELS:
         raise ValueError(f"color type {color_type} unsupported")
     nch = _CHANNELS[color_type]
-    raw = zlib.decompress(bytes(idat))
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as e:
+        raise ValueError(f"corrupt IDAT stream: {e}") from None
     stride = width * nch
     if len(raw) != height * (stride + 1):
         raise ValueError("IDAT size mismatch")
@@ -129,7 +136,10 @@ def decode_png(data: bytes) -> np.ndarray:
     # palette
     if palette is None:
         raise ValueError("palette image without PLTE")
-    return palette[px[:, :, 0]]
+    idx = px[:, :, 0]
+    if idx.size and int(idx.max()) >= len(palette):
+        raise ValueError("palette index out of range")
+    return palette[idx]
 
 
 def encode_png(arr: np.ndarray, filter_type: int = 0) -> bytes:

@@ -288,25 +288,79 @@ def prior_from_result(res: OracleResult) -> dict[str, dict]:
     return out
 
 
+# URLs whose robots "filename" (RobotFileParser.can_fetch's unquote →
+# urlparse → urlunparse(path, params, query, fragment) → quote) is the path
+# after the authority, which quote() leaves as it is, plus the quoted query:
+# no '%' (unquote is identity), no ';' (no params), no '#', no empty '?', no
+# whitespace or control characters (urlsplit strips those), and no "//" in
+# the path (urlunparse treats a leading "//" differently across Python
+# versions; checked apart)
+_ROBOTS_FAST_RE = re.compile(
+    r"^[hH][tT][tT][pP][sS]?://[A-Za-z0-9.\-]+(?::[0-9]+)?"
+    r"((?:/[A-Za-z0-9._~/\-]*)?)(\?[A-Za-z0-9._~!$&'()*+,=:@/\-]+)?$"
+)
+
+
+def robots_rules(
+    rp: urllib.robotparser.RobotFileParser, user_agent: str
+) -> tuple[bool | None, list[tuple[str, bool]]]:
+    """The part of ``rp.can_fetch(user_agent, url)`` that does not depend on
+    the URL: ``(verdict, [])`` when can_fetch answers before it parses the
+    URL, otherwise ``(None, rules)`` with the (already quoted) path prefix
+    and allowance of each rule line of the entry that applies to
+    *user_agent*, in order (none when no entry applies). The first rule
+    whose prefix starts the URL's robots filename decides; no match
+    allows."""
+    if rp.disallow_all:
+        return False, []
+    if rp.allow_all:
+        return True, []
+    if not rp.last_checked:
+        return False, []
+    entry = next((e for e in rp.entries if e.applies_to(user_agent)), rp.default_entry)
+    return None, [] if entry is None else [(ln.path, ln.allowance) for ln in entry.rulelines]
+
+
 class LinkAdmission:
     """The visit_link? chain, in reference order (dsl_core.rb:216-230):
     skip_link? → skip_query_string? → allowed(robots) → in_domain? →
-    too_deep?. Robots errors → disallow (rescue false, dsl_core.rb:241)."""
+    too_deep?. Robots errors → disallow (rescue false, dsl_core.rb:241).
+
+    Robots verdicts are ``can_fetch``'s, computed from each host's rules
+    once (``robots_rules``); for URLs matching ``_ROBOTS_FAST_RE`` the
+    URL's robots filename is quoted directly instead of through can_fetch's
+    parse round-trip, which gives the same string."""
 
     def __init__(self, spec: CrawlSpec, net: SyntheticNet):
         self.spec = spec
         self.net = net
         self.skip_res = [re.compile(p) for p in spec.skip_link_patterns]
-        self._robots: dict[str, urllib.robotparser.RobotFileParser] = {}
+        # host → (parser, constant verdict or None, rule lines)
+        self._robots: dict[str, tuple] = {}
+        self._from = ("", "")  # (from_url, its host): a page admits all its links in a row
 
-    def allowed_by_robots(self, link: str) -> bool:
+    def allowed_by_robots(self, link: str, host: str | None = None) -> bool:
         if not self.spec.obey_robots_txt:
             return True
         try:
-            host = host_of(link)
-            if host not in self._robots:
-                self._robots[host] = self.net.robots_for(host)
-            return self._robots[host].can_fetch(self.spec.user_agent, link)
+            if host is None:
+                host = host_of(link)
+            robots = self._robots.get(host)
+            if robots is None:
+                rp = self.net.robots_for(host)
+                robots = self._robots[host] = (rp, *robots_rules(rp, self.spec.user_agent))
+            rp, verdict, rules = robots
+            if verdict is not None:
+                return verdict
+            m = _ROBOTS_FAST_RE.match(link)
+            if m is None or "//" in m.group(1):
+                return rp.can_fetch(self.spec.user_agent, link)
+            path, query = m.groups()
+            filename = (path + urllib.parse.quote(query)) if query else (path or "/")
+            for prefix, allowance in rules:
+                if prefix == "*" or filename.startswith(prefix):
+                    return allowance
+            return True
         except Exception:
             return False
 
@@ -318,9 +372,12 @@ class LinkAdmission:
             return False
         if spec.skip_query_strings and has_query(link):
             return False
-        if not self.allowed_by_robots(link):
+        host = host_of(link)
+        if not self.allowed_by_robots(link, host):
             return False
-        same = host_of(link) == host_of(from_url)
+        if self._from[0] != from_url:
+            self._from = (from_url, host_of(from_url))
+        same = host == self._from[1]
         if not (spec.inside_domain if same else spec.outside_domain):
             return False
         if spec.depth_limit is not None and from_depth >= spec.depth_limit:

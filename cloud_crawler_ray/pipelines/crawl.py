@@ -827,22 +827,9 @@ def _crawl_inner(
     prior=None, prior_dir=None,
 ) -> CrawlHandle:
     import math
-    import sys
-    import time
     import uuid
 
     import pyarrow.parquet as pq
-
-    profile = os.environ.get("CCRAY_PROFILE") == "1"
-    _t = [time.perf_counter()]
-
-    def _prof(label: str) -> None:
-        if profile:
-            now = time.perf_counter()
-            print(f"[ccray {label}: {now - _t[0]:.2f}s]", file=sys.stderr)
-            _t[0] = now
-        else:
-            _t[0] = time.perf_counter()
 
     if not resume and os.path.exists(out_dir):
         shutil.rmtree(out_dir)
@@ -996,12 +983,10 @@ def _crawl_inner(
         if local:
             if fr_tbl.num_rows == 0:
                 break
-            _prof("pre")
             fm_tbl, spill_tbl = _plan_wave_local(
                 fr_tbl, state, chain_idx, delay_ms, next_seq, wave, spec,
                 host_delays=host_delays,
             )
-            _prof(f"w{wave} plan_local n={fm_tbl.num_rows}")
             n_jobs = fm_tbl.num_rows
             if n_jobs == 0:
                 break
@@ -1020,7 +1005,6 @@ def _crawl_inner(
                     )
             os.makedirs(fdir, exist_ok=True)
             pq.write_table(fm_tbl, os.path.join(fdir, "part-0.parquet"))
-            _prof(f"w{wave} frontier_write")
             # conditional-GET columns attach AFTER the frontier write (the
             # durable frontier keeps its lean schema; prior_links would
             # bloat it) and the same table feeds the driver-fetch path
@@ -1047,7 +1031,6 @@ def _crawl_inner(
                     if not claims_ready:
                         f = claim_candidates(f, state, wave)
                     f = admit_frontier(f, state, wave)
-            _prof("pre")
             if spec.priority_fn is not None:
                 pf = spec.priority_fn
 
@@ -1106,7 +1089,6 @@ def _crawl_inner(
                     batch_format="pyarrow",
                 )
                 n_jobs = spec.job_limit
-            _prof(f"w{wave} plan_sort n={n_jobs}")
             f = assign_slots(
                 f, state, chain_idx_ref, delay_ms,
                 host_delays_ref=host_delays_ref,
@@ -1223,7 +1205,6 @@ def _crawl_inner(
                 ).write_parquet(seen_dir)
             else:
                 raw.write_parquet(raw_dir)
-        _prof(f"w{wave} fetch_extract_write")
 
         # --- seen delta (job urls + fetched page urls) + commit ---
         # curl mode marks nothing (no bloom in BatchCurlJob, batch_curl_job.rb)
@@ -1296,7 +1277,6 @@ def _crawl_inner(
                     pq.read_table(fdir, columns=["url"]).column("url").to_pylist()
                 ):
                     trap_updates[k] = trap_updates.get(k, 0) + 1
-        _prof(f"w{wave} seen_commit")
         state.advance_clocks(updates)
         # commit the wave's scheduled counts (mark-after-commit, like the
         # clocks — an uncommitted wave replans identically): per-host budget
@@ -1369,7 +1349,6 @@ def _crawl_inner(
             n_not_modified += int(
                 pc.sum(pc.cast(cols_nm.column("not_modified"), pa.int64())).as_py() or 0
             )
-        _prof(f"w{wave} wave_metrics")
         write_json(
             os.path.join(out_dir, "lineage", f"wave={wave:05d}.json"),
             {
@@ -1433,7 +1412,6 @@ def _crawl_inner(
             else:  # curl mode: no children, drain the spill
                 fr_tbl = spill_tbl.select(_FRONTIER_COLS)
             fr_ds = None
-            _prof(f"w{wave} children n={fr_tbl.num_rows}")
             if fr_tbl.num_rows > small_wave_threshold:
                 fr_ds, fr_tbl = rd.from_arrow(fr_tbl), None
         else:

@@ -24,15 +24,19 @@ slot; the synthetic one records it.
 from __future__ import annotations
 
 import re
+import time
 
 import pyarrow as pa
 import ray
 
-from ..canon import canonical_url
+from .. import canon
+from ..canon import canonical_url, host_of
 from ..extract import extract_page, is_parseable
+from ..functions.agents import agent_for
 from ..oracle import LinkAdmission, SyntheticNet, fetch_chain
 from ..schemas import SPAN_TYPE
 from ..spec import CrawlSpec
+from .cookies import CookieStore, request_cookie_header
 
 FETCH_OUT_SCHEMA = pa.schema(
     [
@@ -95,8 +99,6 @@ class FetchExtract:
         self.wave = wave
         self.adm = LinkAdmission(spec, self.net)
         self._hook_res = [(re.compile(p), fn) for p, fn in spec.on_pages_like]
-        from ..stages.cookies import CookieStore
-
         self.cookies = CookieStore() if spec.accept_cookies else None
         # wave-committed per-host Cookie headers (set by the driver per wave;
         # read-only here, so fetch stays deterministic in task mode too)
@@ -107,8 +109,6 @@ class FetchExtract:
         # dsl_core.rb delay; the synthetic path records virtual slots only)
         self._real_chain = getattr(self.net, "chain", None)
         self._realtime = bool(getattr(self.net, "realtime", False))
-
-
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         spec = self.spec
@@ -130,19 +130,26 @@ class FetchExtract:
             pes = [""] * len(urls)
             plinks = [None] * len(urls)
 
-        from ..functions.agents import agent_for
+        # per-batch lookups, hoisted out of the row loop; admit and
+        # canonical_urls are resolved here on every call, not in __init__,
+        # so a wrapper installed on LinkAdmission or canon takes effect
+        wave = self.wave
+        admit = self.adm.admit
+        canonical_urls, hosts_of = canon.canonical_urls, canon.hosts_of
+        follow = spec.follow_links
+        meta_robots = spec.obey_meta_robots
+        focus = spec.focus_crawl
+        wall_politeness = self._realtime and spec.delay > 0
 
         for url, referer, depth, seq, host, ft, end, pe, plink in zip(
             urls, referers, depths, seqs, hosts, fts, ends, pes, plinks
         ):
             ua = agent_for(spec.user_agent, spec.ua_seed, seq)
-            from ..stages.cookies import request_cookie_header
-
             req_cookies = request_cookie_header(
                 spec.cookies, self.cookie_hdrs.get(host, ""), spec.accept_cookies
             )
             if self._real_chain is not None:
-                if self._realtime and spec.delay > 0:
+                if wall_politeness:
                     # per-host spacing on the WALL clock (the virtual slot
                     # plan spaces jobs too, but a real network's latency is
                     # unknowable in advance): same-host jobs are co-located
@@ -153,20 +160,16 @@ class FetchExtract:
                     # Cross-wave, worker reuse (_PROC_CACHE) keeps the map
                     # warm; a host migrating to a cold worker between waves
                     # is additionally spaced by the wave-planning barrier.
-                    import time as _time
-
-                    wait = _NEXT_OK_WALL.get(host, 0.0) - _time.monotonic()
+                    wait = _NEXT_OK_WALL.get(host, 0.0) - time.monotonic()
                     if wait > 0:
-                        _time.sleep(wait)
+                        time.sleep(wait)
                 chain = self._real_chain(
                     url, depth, referer, spec.redirect_limit,
                     cookie_header=req_cookies, prior_etag=pe or "",
                     user_agent=ua,
                 )
-                if self._realtime and spec.delay > 0:
-                    import time as _time
-
-                    _NEXT_OK_WALL[host] = _time.monotonic() + spec.delay
+                if wall_politeness:
+                    _NEXT_OK_WALL[host] = time.monotonic() + spec.delay
             else:
                 chain = fetch_chain(
                     self.net, url, depth, referer, spec.redirect_limit,
@@ -189,13 +192,12 @@ class FetchExtract:
                     ]
                 )
                 if self.cookies is not None and p.set_cookie:
-                    from ..canon import host_of as _host_of
-
-                    self.cookies.merge(_host_of(p.url), [p.set_cookie])
+                    self.cookies.merge(host_of(p.url), [p.set_cookie])
+                page_canonical = canonical_url(p.url)
                 page_dict = {
                     "user_agent": ua,
                     "url": p.url,
-                    "canonical_url": canonical_url(p.url),
+                    "canonical_url": page_canonical,
                     "code": p.code,
                     "depth": p.depth,
                     "referer": p.referer,
@@ -205,14 +207,14 @@ class FetchExtract:
                     "error": p.error,
                     "fetch_time_ms": ft,
                     "seq": seq,
-                    "wave": self.wave,
+                    "wave": wave,
                     "spans": spans,
                     "links": [] if ex is None else list(ex.links),
                 }
                 ckeys, cvals = self._run_hooks(page_dict)
 
                 children: list[str] = []
-                if spec.follow_links and p.fetched and (ex is not None or p.not_modified):
+                if follow and p.fetched and (ex is not None or p.not_modified):
                     if p.not_modified:
                         # 304: replay the prior crawl's admitted links,
                         # re-admitted under the current spec at the current
@@ -220,16 +222,16 @@ class FetchExtract:
                         links = list(plink or [])
                     else:
                         links = ex.links
-                        if spec.obey_meta_robots:
+                        if meta_robots:
                             # meta nofollow kills all links; rel=nofollow
                             # anchors are excluded individually
                             if ex.nofollow_all:
                                 links = []
                             elif ex.nofollow:
                                 links = [l for l in links if l not in ex.nofollow]
-                        if spec.focus_crawl is not None:
-                            links = spec.focus_crawl(page_dict, links)
-                    children = [ln for ln in links if self.adm.admit(ln, p.url, p.depth)]
+                        if focus is not None:
+                            links = focus(page_dict, links)
+                    children = [ln for ln in links if admit(ln, p.url, p.depth)]
 
                 if spec.discard_page:
                     # discard affects STORED output only (discard_page_bodies
@@ -238,7 +240,7 @@ class FetchExtract:
                     page_dict["spans"] = []
 
                 cols["url"].append(p.url)
-                cols["canonical_url"].append(page_dict["canonical_url"])
+                cols["canonical_url"].append(page_canonical)
                 cols["code"].append(p.code)
                 cols["depth"].append(p.depth)
                 cols["referer"].append(p.referer)
@@ -248,15 +250,13 @@ class FetchExtract:
                 cols["error"].append(p.error)
                 cols["fetch_time_ms"].append(ft)
                 cols["seq"].append(seq)
-                cols["wave"].append(self.wave)
+                cols["wave"].append(wave)
                 cols["job_url"].append(url)
                 cols["job_host"].append(host)
                 cols["job_end_ms"].append(end)
                 cols["user_agent"].append(ua)
                 cols["spans"].append(page_dict["spans"])
                 cols["child_urls"].append(children)
-                from ..canon import canonical_urls, hosts_of
-
                 cols["child_canonical_urls"].append(canonical_urls(children))
                 cols["child_hosts"].append(hosts_of(children))
                 cols["child_ordinal_base"].append(ordinal_base)
@@ -267,9 +267,7 @@ class FetchExtract:
                 cols["etag"].append(p.etag)
                 cols["not_modified"].append(p.not_modified)
                 cols["canonical_decl"].append("" if ex is None else ex.canonical)
-                cols["noindex"].append(
-                    bool(spec.obey_meta_robots and ex is not None and ex.noindex)
-                )
+                cols["noindex"].append(bool(meta_robots and ex is not None and ex.noindex))
                 ordinal_base += len(children)
 
         return pa.table(cols, schema=FETCH_OUT_SCHEMA)
@@ -279,18 +277,15 @@ class FetchExtract:
         emitted as data columns and aggregated with groupby downstream —
         the partial/combiner pattern of examples/sugary_word_count.rb."""
         counters: dict[str, int] = {}
-        hooks = []
-        if self.spec.on_every_page:
-            hooks.append(self.spec.on_every_page)
-        for cre, fn in self._hook_res:
-            if cre.search(page_dict["url"]):
-                hooks.append(fn)
+        hooks = [self.spec.on_every_page] if self.spec.on_every_page else []
+        if self._hook_res:
+            hooks += [fn for cre, fn in self._hook_res if cre.search(page_dict["url"])]
         for fn in hooks:
             out = fn(page_dict)
             if isinstance(out, dict):
                 for k, v in out.items():
                     counters[k] = counters.get(k, 0) + int(v)
-        return list(counters.keys()), list(counters.values())
+        return list(counters), list(counters.values())
 
 
 # Per-worker-process cache for task-mode fetch. The fetch state (web index,

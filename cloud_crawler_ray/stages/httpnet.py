@@ -59,9 +59,20 @@ _REFUSED = (ConnectionRefusedError, socket.gaierror)
 def _inflate(body: bytes, encoding: str) -> bytes:
     """Decode a Content-Encoding'd entity body (Net::HTTP auto-inflate
     analog). ``deflate`` on the wire is zlib-wrapped per RFC 9110, but some
-    origins send raw DEFLATE streams — try both, like the browsers do."""
+    origins send raw DEFLATE streams — try both, like the browsers do. A
+    gzip body may hold several members (RFC 1952 §2.2): each is decoded and
+    the results concatenated, as gzip(1) does; bytes after a member that do
+    not start another one are ignored, as zlib.decompress ignores them."""
     if encoding == "gzip":
-        return zlib.decompress(body, 16 + zlib.MAX_WBITS)
+        out = []
+        while True:
+            d = zlib.decompressobj(16 + zlib.MAX_WBITS)
+            out.append(d.decompress(body))
+            if not d.eof:
+                raise zlib.error("incomplete or truncated gzip member")
+            body = d.unused_data
+            if body[:2] != b"\x1f\x8b":
+                return b"".join(out)
     try:
         return zlib.decompress(body)
     except zlib.error:
@@ -239,22 +250,23 @@ class HttpNet:
                 )
             latency_ms = int((time.perf_counter() - t0) * 1000)
             clock_ms += latency_ms
+            if resp.will_close:
+                self._drop(parts.scheme, host, port)  # else it stays pooled
             encoding = (resp.getheader("Content-Encoding") or "").strip().lower()
             if body and encoding in ("gzip", "deflate"):
                 try:
                     body = _inflate(body, encoding)
                 except zlib.error:
                     # a body that claims an encoding it doesn't carry is a
-                    # bad response, not a transport blip: surface it
+                    # bad response, not a transport blip: surface it. The
+                    # origin's framing is not to be trusted either, so its
+                    # connection is not reused, whatever it announced
+                    self._drop(parts.scheme, host, port)
                     return FetchedPage(
                         url, int(resp.status), b"", "", "", latency_ms, depth,
                         referer, error=f"bad content encoding: {encoding}",
                         clock_ms=clock_ms,
                     )
-            if not resp.will_close:
-                pass  # keep-alive: connection stays pooled
-            else:
-                self._drop(parts.scheme, host, port)
             ctype = (resp.getheader("Content-Type") or "").split(";")[0].strip()
             location = resp.getheader("Location") or ""
             redirect_to = (

@@ -101,8 +101,15 @@ class _SiteHandler(BaseHTTPRequestHandler):
             and enc in (self.headers.get("Accept-Encoding") or "")
         ):
             if enc == "gzip":
-                co = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
-                body = co.compress(body) + co.flush()
+                # gzip_members > 1: the body split into that many gzip
+                # members, concatenated (RFC 1952 §2.2)
+                k = srv.gzip_members
+                cuts = [len(body) * i // k for i in range(k + 1)]
+                members = []
+                for a, b in zip(cuts, cuts[1:]):
+                    co = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
+                    members.append(co.compress(body[a:b]) + co.flush())
+                body = b"".join(members)
             else:  # deflate (zlib-wrapped per RFC 9110)
                 body = zlib.compress(body, 6)
             extra = dict(extra, **{"Content-Encoding": enc})
@@ -160,10 +167,11 @@ class _SiteHandler(BaseHTTPRequestHandler):
 class SiteServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, tls: bool = False, compress: str | None = None):
+    def __init__(self, tls: bool = False, compress: str | None = None, gzip_members: int = 1):
         super().__init__(("127.0.0.1", 0), _SiteHandler)
         self.scheme = "https" if tls else "http"
         self.compress = compress
+        self.gzip_members = gzip_members
         self.cert_file: str | None = None
         if tls:
             self.cert_file, key_file = make_self_signed_cert()
@@ -193,10 +201,10 @@ class SiteServer(ThreadingHTTPServer):
 
 
 @contextmanager
-def serve_site(tls: bool = False, compress: str | None = None):
+def serve_site(tls: bool = False, compress: str | None = None, gzip_members: int = 1):
     """Yield a started SiteServer; the caller builds pages with
     ``host=server.netloc`` and ``server.load(web_table(pages, ...))``."""
-    srv = SiteServer(tls=tls, compress=compress)
+    srv = SiteServer(tls=tls, compress=compress, gzip_members=gzip_members)
     t = threading.Thread(target=srv.serve_forever, daemon=True)
     t.start()
     try:

@@ -61,6 +61,11 @@ def test_normalize_seed():
     assert canon.normalize_seed("http://x.com/a") == "http://x.com/a"
 
 
+def _canonical_full(url: str) -> str:
+    """canonical_url without its fast path: the whole reference chain."""
+    return canon.key_for(canon.ensure_path(canon.reencode(canon.strip_anchor(url))))
+
+
 def test_fastpath_parity_random_urls():
     """The regex fast paths must be bit-identical to the exact functions."""
     import random
@@ -81,8 +86,9 @@ def test_fastpath_parity_random_urls():
         except ValueError:
             slow = ""
         assert canon.host_of(u) == slow, u
-        # canonical_urls fast path vs canonical_url
-        assert canon.canonical_urls([u]) == [canon.canonical_url(u)], u
+        # canonical_url / canonical_urls fast paths vs the full chain
+        assert canon.canonical_url(u) == _canonical_full(u), u
+        assert canon.canonical_urls([u]) == [_canonical_full(u)], u
         # has_query fast path
         try:
             q = urlsplit(u).query != ""
@@ -91,21 +97,52 @@ def test_fastpath_parity_random_urls():
         assert canon.has_query(u) == q, u
 
 
+def _to_absolute_slow(link, page_url, base_url=None):
+    """to_absolute with both regex fast paths defeated."""
+    import re
+
+    saved = canon._ABS_FAST_RE, canon._REL_FAST_RE
+    canon._ABS_FAST_RE = canon._REL_FAST_RE = re.compile(r"(?!)")  # matches nothing
+    try:
+        return canon.to_absolute(link, page_url, base_url)
+    finally:
+        canon._ABS_FAST_RE, canon._REL_FAST_RE = saved
+
+
+_PAGES = [
+    "http://page.com/dir/", "http://page.com/dir/x", "http://page.com", "http://page.com/",
+    "http://page.com:8080/a/b", "http://page.com/a//b/c", "http://page.com/a/../b",
+    "http://page.com/a/./b", "http://page.com/x?q=1", "http://page.com/x#f",
+    "HTTP://Page.com/a/b", "https://page.com/a;p/b;q", "http://page.com/a%20b/c",
+    "http://page.com/.hidden/x", "http://page.com/a b/c",
+]
+
+
 def test_to_absolute_fastpath_parity():
-    for link in [
-        "http://x.com/a", "https://y.com/b?q=1", "http://x.com/p#frag",
-        "HTTP://X.com/a", "/rel", "rel/x", "http://x.com",
-    ]:
-        fast = canon.to_absolute(link, "http://page.com/dir/")
-        # recompute via the slow path by defeating the fast regex
-        import cloud_crawler_ray.canon as c
-        saved = c._ABS_FAST_RE
-        c._ABS_FAST_RE = __import__("re").compile(r"$^")
-        try:
-            slow = canon.to_absolute(link, "http://page.com/dir/")
-        finally:
-            c._ABS_FAST_RE = saved
-        assert fast == slow, (link, fast, slow)
+    for page in _PAGES:
+        for link in [
+            "http://x.com/a", "https://y.com/b?q=1", "http://x.com/p#frag",
+            "HTTP://X.com/a", "/rel", "rel/x", "http://x.com", "mailto:a@b",
+            "p1", "P7", "p3#top", "p3#", "p3#a#b", "a//b", "/a//b", "//host/x",
+            "./x", "../x", "a/./b", "a/../b", "a/.", "x.html", "~u", "-x", "_x",
+            "p5?sort=asc", "p5?", "?q=1", "#top", "p?a=1&b=2#f", "p?a=/.", "a b",
+            "a%20b", "A/B/C", "/", "", "p;x",
+        ]:
+            for base in (None, "http://base.com/b/"):
+                fast = canon.to_absolute(link, page, base)
+                assert fast == _to_absolute_slow(link, page, base), (link, page, base)
+
+
+def test_to_absolute_fastpath_parity_property():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(_PAGES), st.text(alphabet="abAB09/._~-#?=&%: ", max_size=14))
+    def check(page, link):
+        assert canon.to_absolute(link, page) == _to_absolute_slow(link, page)
+
+    check()
 
 
 def test_userinfo_urls():
@@ -134,6 +171,7 @@ def test_canonical_url_idempotent_and_fastpath_consistent_property():
     @given(urls)
     def check(u):
         one = canon.canonical_url(u)
+        assert one == _canonical_full(u), u
         assert canon.canonical_url(one) == one, (u, one)
         assert canon.canonical_urls([u]) == [one]
 

@@ -94,6 +94,42 @@ def test_raw_deflate_fallback():
     assert _inflate(zlib.compress(entity), "deflate") == entity
 
 
+def test_multi_member_gzip_decoded():
+    """A gzip body of several members decodes to all of them, concatenated
+    (RFC 1952 §2.2), not just the first."""
+    text = "first member text, then the second member text, then the third"
+    with serve_site(compress="gzip", gzip_members=3) as srv:
+        pages = [FakePage(name="p0", host=srv.netloc, texts=[text])]
+        web = web_table(pages)
+        srv.load(web)
+        wire = _raw_wire_body(srv.netloc, "/p0", "gzip")
+        entity = web.to_pylist()[0]["body"]
+        # the wire really holds three members; the first alone is a prefix
+        assert wire.count(b"\x1f\x8b\x08") == 3
+        first = zlib.decompress(wire, 16 + zlib.MAX_WBITS)
+        assert len(first) < len(entity) and entity.startswith(first)
+        net = HttpNet()
+        p = net.chain(page_url("p0", srv.netloc), 0, "", 5)[0]
+        assert p.fetched and p.body == entity
+        assert p.etag == etag_of(entity, "text/html")
+        net.close()
+
+
+def test_inflate_multi_member_and_trailing_bytes():
+    from cloud_crawler_ray.stages.httpnet import _inflate
+
+    def gz(b: bytes) -> bytes:
+        co = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
+        return co.compress(b) + co.flush()
+
+    assert _inflate(gz(b"hello ") + gz(b"world"), "gzip") == b"hello world"
+    assert _inflate(gz(b"hello ") + b"\x00\x00", "gzip") == b"hello "  # padding
+    with pytest.raises(zlib.error):
+        _inflate(gz(b"hello ") + gz(b"world")[:8], "gzip")  # truncated member
+    with pytest.raises(zlib.error):
+        _inflate(b"not gzip", "gzip")
+
+
 class _LyingHandler(BaseHTTPRequestHandler):
     """Claims gzip, serves garbage — the bad-response case."""
 
@@ -119,6 +155,50 @@ def test_bad_content_encoding_surfaced():
         p = net.chain(f"http://127.0.0.1:{srv.server_address[1]}/x", 0, "", 5)[0]
         assert p.error == "bad content encoding: gzip"
         assert not p.fetched and p.body == b""
+        net.close()
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+class _LyingKeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keep-alive origin: ``/bad`` claims gzip, serves garbage and
+    then closes the connection without announcing it; ``/ok`` is a plain
+    page."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def do_GET(self):  # noqa: N802
+        bad = self.path == "/bad"
+        body = b"this is not gzip at all" if bad else b"<html><p>fine</p></html>"
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html")
+        if bad:
+            self.send_header("Content-Encoding", "gzip")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        if bad:
+            self.close_connection = True
+
+
+def test_bad_content_encoding_drops_connection():
+    """The connection a mislabelled body came on is not reused: the next
+    fetch to the same host succeeds on its first attempt (no retry left
+    here) instead of failing on the stale socket."""
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), _LyingKeepAliveHandler)
+    t = threading.Thread(target=srv.serve_forever, daemon=True)
+    t.start()
+    try:
+        net = HttpNet(timeout=5, max_retries=0)
+        base = f"http://127.0.0.1:{srv.server_address[1]}"
+        bad = net.chain(f"{base}/bad", 0, "", 5)[0]
+        assert bad.error == "bad content encoding: gzip"
+        ok = net.chain(f"{base}/ok", 0, "", 5)[0]
+        assert ok.error == "" and ok.code == 200 and b"fine" in ok.body
         net.close()
     finally:
         srv.shutdown()

@@ -113,6 +113,47 @@ def test_decode_rejects_unsupported():
         decode_png(d)
 
 
+def _corrupt_pngs() -> dict[str, bytes]:
+    iend = _chunk(b"IEND", b"")
+    return {
+        # IHDR cut short: 9 of its 13 bytes
+        "truncated_ihdr": SIG + _chunk(b"IHDR", struct.pack(">IIB", 2, 2, 8)) + iend,
+        # 2x1 palette image whose second pixel names entry 5 of a 2-entry PLTE
+        "palette_index": (
+            SIG
+            + _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 1, 8, 3, 0, 0, 0))
+            + _chunk(b"PLTE", bytes([255, 0, 0, 0, 255, 0]))
+            + _chunk(b"IDAT", zlib.compress(b"\x00\x00\x05"))
+            + iend
+        ),
+        # IDAT that is not a zlib stream
+        "bad_idat": (
+            SIG
+            + _chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0))
+            + _chunk(b"IDAT", b"not zlib")
+            + iend
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["truncated_ihdr", "palette_index", "bad_idat"])
+def test_decode_corrupt_raises_value_error(name):
+    with pytest.raises(ValueError):
+        decode_png(_corrupt_pngs()[name])
+
+
+@pytest.mark.parametrize("name", ["truncated_ihdr", "palette_index", "bad_idat"])
+def test_backend_falls_back_on_corrupt_png(name):
+    from cloud_crawler_ray.ops.multimodal import DecodeBackend
+
+    be = DecodeBackend()
+    if be._Image is not None:  # pragma: no cover - PIL absent here
+        pytest.skip("PIL decodes images itself")
+    payload = _corrupt_pngs()[name]
+    assert be.decode(payload, "image")["backend"] == "fake"
+    assert be._png_rgb(payload) is None
+
+
 def test_resize_area_and_luma_pinned():
     img = _gradient(32, 32)
     small = resize_area(img, 8, 8)
