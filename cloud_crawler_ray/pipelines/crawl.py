@@ -14,6 +14,15 @@ Wave lifecycle (SURVEY §3.4), each wave one streaming Dataset pipeline:
       → explode_children → frontier_{d+1}
       → commit: seen.add(delta), clocks.advance, lineage marker
 
+A wave of at most ``small_wave_threshold`` candidate rows runs the same
+steps as in-process Arrow ops on the driver (``_plan_wave_local``). The
+crawl state (seen set, clocks, budgets, claims) starts in the driver too
+and moves into ``StateShard`` actors only when a Ray task first needs it:
+the first distributed-planned wave, a resume replay, or once the committed
+job count passes the threshold (state/shards.py ``ShardedState``). Only
+distributed-planned waves register next-wave claims; a driver frontier
+handed to the distributed planner is first-wins deduped on the driver.
+
 Durability/commit protocol (north_rule resumability): per wave the engine
 writes (1) the slotted frontier, (2) the raw fetch output, (3) the seen
 delta, then (4) the ``lineage/wave=N.json`` marker LAST (atomic rename).
@@ -30,6 +39,7 @@ from __future__ import annotations
 import glob
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 
 import pyarrow as pa
@@ -44,6 +54,7 @@ from ..storage import read_json, read_table, write_json
 from ..stages.fetch import FetchExtract, make_fetch_fn
 from ..stages.frontier_ops import (
     ClaimChildren,
+    _dedup_batch,
     admit_frontier,
     claim_candidates,
     dedup_candidates,
@@ -451,24 +462,14 @@ def _plan_wave_local(
     filter_unseen → zip_with_index → assign_slots) but as in-process Arrow
     ops: below the threshold the wave's metadata is tiny (≈100 B/row) and
     five Ray Data executions per wave cost more than they parallelize.
-    Membership checks still hit the sharded actors (state is never copied to
-    the driver). The distributed path remains the ≥-threshold route and is
-    exercised in tests via small_wave_threshold=0."""
+    Membership, budget and clock reads go through ``state``: direct calls
+    while its partitions are still in the driver, one batched call per shard
+    actor once promoted. The distributed path remains the ≥-threshold route
+    and is exercised in tests via small_wave_threshold=0."""
     import numpy as np
 
     if spec.follow_links and cand.num_rows:
-        order = pc.sort_indices(
-            cand,
-            sort_keys=[
-                ("canonical_url", "ascending"),
-                ("parent_seq", "ascending"),
-                ("ordinal", "ascending"),
-            ],
-        )
-        cand = cand.take(order)
-        from ..stages.frontier_ops import _first_of_run_mask
-
-        cand = cand.filter(_first_of_run_mask(cand.column("canonical_url")))
+        cand = _dedup_batch(cand)  # in-wave first-wins
         unseen = state.check(cand.column("canonical_url").to_pylist())
         cand = cand.filter(pa.array(unseen))
 
@@ -553,6 +554,28 @@ def _plan_wave_local(
     )
     cand = cand.append_column("wave", pa.array([wave] * n, pa.int32()))
     return cand, spill
+
+
+def _host_commit(wave_tbl: pa.Table) -> tuple[dict, dict, dict]:
+    """A committed wave's per-host updates from its slotted frontier: clock
+    (max job_end_ms), scheduled-job count, and observed latency
+    (sum of job_end_ms − fetch_time_ms, count) — one Arrow group_by."""
+    g = pa.table(
+        {
+            "host": wave_tbl.column("host"),
+            "end": wave_tbl.column("job_end_ms"),
+            "lat": pc.subtract(
+                wave_tbl.column("job_end_ms"), wave_tbl.column("fetch_time_ms")
+            ),
+        }
+    ).group_by("host").aggregate([("end", "max"), ("end", "count"), ("lat", "sum")])
+    hosts = g.column("host").to_pylist()
+    counts = g.column("end_count").to_pylist()
+    return (
+        dict(zip(hosts, g.column("end_max").to_pylist())),
+        dict(zip(hosts, counts)),
+        {h: (s, n) for h, s, n in zip(hosts, g.column("lat_sum").to_pylist(), counts)},
+    )
 
 
 def _merge_sched(prev: dict, delta: dict) -> dict:
@@ -664,8 +687,10 @@ def crawl(
     "actors" uses a map_batches actor pool (required if the fetch stage ever
     grows mutable per-connection state). small_wave_threshold: waves at or
     below this many candidate rows are planned driver-side (semantically
-    identical; membership stays in the shard actors) — 0 forces the fully
-    distributed planner.
+    identical) — 0 forces the fully distributed planner. The crawl state
+    stays in the driver until the first distributed-planned wave (or a
+    resume replay, or a committed job count above the threshold) moves it
+    into shard actors (ShardedState).
 
     prior_dir: a previous crawl's out_dir → incremental recrawl. The prior
     crawl's validated (canonical_url, etag, admitted links) load into
@@ -963,7 +988,8 @@ def _crawl_inner(
 
     # claim-based in-wave dedup (default; CCRAY_DEDUP=shuffle forces the
     # legacy groupby path). claims_ready: wave W's candidates were claimed by
-    # wave W-1's execution — False for the first planned wave (seeds, resume)
+    # wave W-1's distributed execution, or deduped on the driver after a
+    # driver-planned wave — False for the first planned wave (seeds, resume)
     claims_mode = os.environ.get("CCRAY_DEDUP", "claims") != "shuffle"
     claims_ready = False
 
@@ -994,15 +1020,6 @@ def _crawl_inner(
                 spilled = True
                 os.makedirs(spill_dir, exist_ok=True)
                 pq.write_table(spill_tbl, os.path.join(spill_dir, "part-0.parquet"))
-                if claims_mode and spec.follow_links:
-                    # spilled rows re-enter the next wave's candidate pool;
-                    # claim them now in case that wave plans distributed
-                    state.claim_frontier(
-                        wave + 1,
-                        spill_tbl.column("canonical_url").to_pylist(),
-                        spill_tbl.column("parent_seq").to_pylist(),
-                        spill_tbl.column("ordinal").to_pylist(),
-                    )
             os.makedirs(fdir, exist_ok=True)
             pq.write_table(fm_tbl, os.path.join(fdir, "part-0.parquet"))
             # conditional-GET columns attach AFTER the frontier write (the
@@ -1014,6 +1031,9 @@ def _crawl_inner(
             if nblocks > 1:
                 fetch_in = fetch_in.repartition(nblocks)
         else:
+            # the plan's tasks call the shards: move the state into its
+            # actors now (no-op after the first distributed wave)
+            state.promote()
             f = fr_ds
             if spec.follow_links:
                 if not claims_mode:
@@ -1149,13 +1169,6 @@ def _crawl_inner(
             os.makedirs(raw_dir, exist_ok=True)
             out_tbl = driver_fx(fetch_tbl)
             pq.write_table(out_tbl, os.path.join(raw_dir, "part-0.parquet"))
-            if claims_mode and spec.follow_links:
-                # register next-wave claims for the children (the driver IS
-                # this wave's producing execution)
-                from ..stages.frontier_ops import _flat_children
-
-                flat, pseqs, ords, _ = _flat_children(out_tbl)
-                state.claim_frontier(wave + 1, flat.to_pylist(), pseqs, ords)
         else:
             if fetch_mode == "tasks":
                 raw = fetch_in.map_batches(
@@ -1171,10 +1184,12 @@ def _crawl_inner(
                     batch_size=fetch_batch_size,
                     concurrency=fetch_concurrency,
                 )
-            if claims_mode and spec.follow_links:
+            if claims_mode and spec.follow_links and not local:
                 # next-wave first-wins claims registered inside this wave's
                 # execution (its completion is the planning barrier) — the
-                # wave after this one needs no dedup shuffle
+                # wave after this one needs no dedup shuffle. A local wave
+                # registers none: its successor is planned on the driver,
+                # or first-wins deduped there before a distributed plan
                 raw = raw.map_batches(
                     ClaimChildren(state.shards, wave + 1), batch_format="pyarrow"
                 )
@@ -1221,62 +1236,22 @@ def _crawl_inner(
                     os.path.join(seen_dir, "part-0.parquet"),
                 )
                 state.add(delta)
-            updates: dict[str, int] = {}
-            sched_updates: dict[str, int] = {}
-            lat_updates: dict[str, tuple[int, int]] = {}
-            for h, e, ft in zip(
-                fm_tbl.column("host").to_pylist(),
-                fm_tbl.column("job_end_ms").to_pylist(),
-                fm_tbl.column("fetch_time_ms").to_pylist(),
-            ):
-                updates[h] = max(updates.get(h, 0), int(e))
-                sched_updates[h] = sched_updates.get(h, 0) + 1
-                ps, pn = lat_updates.get(h, (0, 0))
-                lat_updates[h] = (ps + int(e) - int(ft), pn + 1)
-            trap_updates: dict[str, int] = {}
-            if spec.trap_guard is not None:
-                from ..canon import trap_keys_of as _tko_commit
-
-                for k in _tko_commit(fm_tbl.column("url").to_pylist()):
-                    trap_updates[k] = trap_updates.get(k, 0) + 1
+            wave_tbl = fm_tbl
         else:
             # the seen delta (if any) was committed inside the fetch execution
-            # above; only the clock advance remains — two small columns of the
-            # wave's frontier, read driver-side (no Ray execution)
-            ends_tbl = pq.read_table(
-                fdir, columns=["host", "job_end_ms", "fetch_time_ms"]
+            # above; only the per-host commit remains — a few small columns
+            # of the wave's frontier, read driver-side (no Ray execution)
+            wave_tbl = pq.read_table(
+                fdir,
+                columns=["host", "job_end_ms", "fetch_time_ms"]
+                + (["url"] if spec.trap_guard is not None else []),
             )
-            import pandas as _pd
+        updates, sched_updates, lat_updates = _host_commit(wave_tbl)
+        trap_updates: dict[str, int] = {}
+        if spec.trap_guard is not None:
+            from ..canon import trap_keys_of
 
-            edf = _pd.DataFrame(
-                {
-                    "host": ends_tbl.column("host").to_pylist(),
-                    "end": ends_tbl.column("job_end_ms").to_numpy(zero_copy_only=False),
-                    "lat": (
-                        ends_tbl.column("job_end_ms").to_numpy(zero_copy_only=False)
-                        - ends_tbl.column("fetch_time_ms").to_numpy(zero_copy_only=False)
-                    ),
-                }
-            )
-            updates = {h: int(v) for h, v in edf.groupby("host")["end"].max().items()}
-            sched_updates = {
-                h: int(v) for h, v in edf.groupby("host")["end"].size().items()
-            }
-            _lat_sum = edf.groupby("host")["lat"].sum()
-            lat_updates = {
-                h: (int(_lat_sum[h]), int(n))
-                for h, n in edf.groupby("host")["lat"].size().items()
-            }
-            trap_updates = {}
-            if spec.trap_guard is not None:
-                # one string column of the wave's frontier, driver-side —
-                # same cost class as the host/end columns above
-                from ..canon import trap_keys_of as _tko_commit
-
-                for k in _tko_commit(
-                    pq.read_table(fdir, columns=["url"]).column("url").to_pylist()
-                ):
-                    trap_updates[k] = trap_updates.get(k, 0) + 1
+            trap_updates = dict(Counter(trap_keys_of(wave_tbl.column("url").to_pylist())))
         state.advance_clocks(updates)
         # commit the wave's scheduled counts (mark-after-commit, like the
         # clocks — an uncommitted wave replans identically): per-host budget
@@ -1389,8 +1364,8 @@ def _crawl_inner(
         if claims_mode:
             # this wave's claims were consumed by its plan; free the shard
             # memory. Claims for wave+1 (registered by this wave's fetch /
-            # spill writers) are now complete — the next plan skips the
-            # fallback claim pass.
+            # spill writers when it was planned distributed) are now
+            # complete — the next plan skips the fallback claim pass.
             state.clear_claims(wave)
             claims_ready = spec.follow_links
 
@@ -1413,6 +1388,11 @@ def _crawl_inner(
                 fr_tbl = spill_tbl.select(_FRONTIER_COLS)
             fr_ds = None
             if fr_tbl.num_rows > small_wave_threshold:
+                # hand off to the distributed planner: this wave registered
+                # no claims, so first-wins dedup here and admit_frontier
+                # keeps each unseen row — the winners the claims would pick
+                if spec.follow_links:
+                    fr_tbl = _dedup_batch(fr_tbl)
                 fr_ds, fr_tbl = rd.from_arrow(fr_tbl), None
         else:
             spill_ds = (
@@ -1431,6 +1411,10 @@ def _crawl_inner(
             else:
                 fr_ds = spill_ds
             fr_tbl, fr_ds = _collect_if_small(fr_ds, small_wave_threshold)
+        if total_jobs > small_wave_threshold:
+            # memory bound: past one small wave's worth of committed jobs the
+            # state no longer belongs in the driver
+            state.promote()
         wave += 1
 
     handle = CrawlHandle(

@@ -21,7 +21,6 @@ import ray
 import ray.data as rd
 
 from ..canon import canonical_url, host_of
-from ..state.shards import shard_of
 
 
 def _dedup_batch(batch: pa.Table) -> pa.Table:
@@ -128,11 +127,12 @@ def filter_unseen(ds: rd.Dataset, state) -> rd.Dataset:
 #
 # The dedup groupby above moves every candidate row through an all-to-all
 # hash shuffle each wave. The claim protocol removes it: whoever PRODUCES a
-# candidate (the fetch task emitting children, the spill writer, the seeds
-# pass) registers a first-wins claim — canonical_url → min (parent_seq,
-# ordinal) — on the same state shards that hold the seen set (idempotent
-# min-merge, so task retries are safe). The producing wave's execution is
-# the barrier: by the time wave W+1 plans, every claim for it is committed.
+# candidate in a distributed-planned wave (the fetch task emitting
+# children, the spill writer, the seeds pass) registers a first-wins claim —
+# canonical_url → min (parent_seq, ordinal) — on the same state shards that
+# hold the seen set (idempotent min-merge, so task retries are safe). The
+# producing wave's execution is the barrier: by the time wave W+1 plans,
+# every claim for it is committed.
 # Planning then needs only a map-side filter (`admit_frontier`) that asks
 # each key's shard "am I the claim winner, and is the key unseen?" — the
 # in-wave dedup and the cross-wave anti-join in ONE batched RPC per shard

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import base64
 import http.client
+import select
 import socket
 import ssl
 import time
@@ -54,6 +55,15 @@ _TRANSIENT = (
     ssl.SSLZeroReturnError,
 )
 _REFUSED = (ConnectionRefusedError, socket.gaierror)
+
+
+def _closed_while_idle(sock) -> bool:
+    """True when an idle pooled socket is readable: the origin sent EOF (or
+    stray bytes) after the last response, so a request sent on it would
+    fail although the origin is up."""
+    p = select.poll()
+    p.register(sock, select.POLLIN)
+    return bool(p.poll(0))
 
 
 def _inflate(body: bytes, encoding: str) -> bytes:
@@ -151,6 +161,11 @@ class HttpNet:
     def _conn(self, scheme: str, host: str, port: int) -> http.client.HTTPConnection:
         key = (scheme, host, port)
         c = self._conns.get(key)
+        if c is not None and c.sock is not None and _closed_while_idle(c.sock):
+            # keep-alive connection the origin closed without announcing it:
+            # reconnect rather than spend a retry on the dead socket
+            self._drop(scheme, host, port)
+            c = None
         if c is None:
             if scheme == "https":
                 c = http.client.HTTPSConnection(

@@ -1,14 +1,16 @@
-"""Sharded crawl state actors: URL-seen membership + per-host politeness clocks.
+"""Sharded crawl state: URL-seen membership + per-host politeness clocks.
 
 The reference keeps this state in a master Redis instance (bloom filter
 redis_url_bloomfilter.rb; implicit per-host pacing via sleep(delay)
-batch_job.rb:178-183). Here it lives in Ray actors hash-partitioned by key —
-``StateShard`` holds one partition of the exact seen set plus a Bloom summary
-(the at-scale representation; exact set gives test-scale exactness) and one
-partition of the host→virtual-clock map. Shard count scales with the cluster
-(256 shards on a 256-node cluster ⇒ ~47 MB bloom per shard at 10^10 URLs,
-see filters.py memory math); all calls are batched (one RPC per shard per
-wave-stage, not per URL).
+batch_job.rb:178-183). Here it is hash-partitioned by key —
+``StatePartition`` holds one partition of the exact seen set plus a Bloom
+summary (the at-scale representation; exact set gives test-scale
+exactness) and one partition of the host→virtual-clock map. The partitions
+stay in the driver while the crawl is planned there and move into
+``StateShard`` actors when a Ray task first needs them (``ShardedState``).
+Shard count scales with the cluster (256 shards on a 256-node cluster ⇒
+~47 MB bloom per shard at 10^10 URLs, see filters.py memory math); all
+calls are batched (one call per shard per wave-stage, not per URL).
 
 Snapshot/restore supports per-partition checkpointing with lineage
 (north_rule resumability).
@@ -43,10 +45,6 @@ def shards_of(keys: list[str], n_shards: int) -> np.ndarray:
     return (pd.util.hash_array(arr) % n_shards).astype(np.int64)
 
 
-def shard_of(key: str, n_shards: int) -> int:
-    return int(shards_of([key], n_shards)[0])
-
-
 def group_indices_by_shard(keys: list[str], n_shards: int) -> dict[int, np.ndarray]:
     """shard id → numpy indices of *keys* routed there (order-preserving)."""
     sh = shards_of(keys, n_shards)
@@ -61,10 +59,10 @@ def group_indices_by_shard(keys: list[str], n_shards: int) -> dict[int, np.ndarr
     } if len(sh) else {}
 
 
-@ray.remote(num_cpus=0.25)
-class StateShard:
-    """One partition of seen-set + host clocks. num_cpus=0.25 so a pool of
-    shards coexists with fetch/extract stages on one node."""
+class StatePartition:
+    """One partition of seen-set + host clocks: a plain object in the driver
+    until ``ShardedState`` promotes it, then the body of a ``StateShard``
+    actor — one implementation in both places."""
 
     def __init__(self, shard_id: int, bloom_bits: int = 1 << 20):
         self.shard_id = shard_id
@@ -84,6 +82,11 @@ class StateShard:
         # planning, cleared at that wave's commit. Never checkpointed — a
         # resumed plan re-registers via the fallback claim pass.
         self.claims: dict[int, dict[str, tuple[int, int]]] = {}
+
+    def load(self, fields: dict) -> None:
+        """Take over every field of another partition (claims included) —
+        how a driver-held partition moves into its actor."""
+        self.__dict__.update(fields)
 
     # ---- membership (the Redis bloom analog) ----
     def check(self, keys: list[str]) -> list[bool]:
@@ -196,128 +199,150 @@ class StateShard:
         self.bloom.add_many(list(self.seen))
 
 
+# num_cpus=0, like PriorShard: a shard only answers batched calls, so it
+# must hold no logical CPU that fetch tasks need (4 shards at 0.25 used to
+# take the only CPU of a num_cpus=1 session), and its kill at crawl end
+# frees none
+StateShard = ray.remote(num_cpus=0)(StatePartition)
+
+
 class ShardedState:
-    """Driver-side handle bundle. Methods batch per-shard RPCs; the handles
-    themselves are cloudpickled into map_batches closures so tasks can call
-    shards directly (no driver round-trip in the hot path)."""
+    """The crawl's seen set, clocks, budgets, latency stats and claims,
+    hash-partitioned into ``n_shards`` ``StatePartition``s.
+
+    The partitions start in the driver process as plain objects, so a crawl
+    whose waves are all planned on the driver starts no actor. The first
+    read of ``shards`` promotes them: one ``StateShard`` actor per
+    partition, loaded with every field, after which the state lives only
+    in the actors. The crawl reads ``shards`` when a Ray task first needs a
+    handle — the first distributed-planned wave, a resume replay, the
+    legacy shuffle path — and when its committed job count passes the
+    small-wave threshold (``promote``); pickling the state (map_batches
+    closures capture it) promotes too and ships only the handles, so a
+    task never works on a forked copy. Every method batches per shard (one
+    call per shard, never per key): a direct call before promotion, one
+    ``.remote`` per shard and one ``ray.get`` after."""
 
     def __init__(self, n_shards: int, bloom_bits: int = 1 << 20):
         self.n_shards = n_shards
-        self.shards = [
-            StateShard.remote(i, bloom_bits=bloom_bits) for i in range(n_shards)
+        self._parts: list[StatePartition] | None = [
+            StatePartition(i, bloom_bits=bloom_bits) for i in range(n_shards)
         ]
+        self._actors: list | None = None
 
-    def _group(self, keys: list[str]) -> dict[int, "np.ndarray"]:
-        return group_indices_by_shard(keys, self.n_shards)
+    @property
+    def promoted(self) -> bool:
+        return self._actors is not None
+
+    @property
+    def shards(self) -> list:
+        """The ``StateShard`` actor handles (promotes on first read)."""
+        self.promote()
+        return self._actors
+
+    def promote(self) -> None:
+        """Move every partition into its own ``StateShard`` actor (no-op
+        once promoted)."""
+        if self._actors is not None:
+            return
+        actors = [StateShard.remote(p.shard_id, p.bloom.n_bits) for p in self._parts]
+        ray.get([a.load.remote(vars(p)) for a, p in zip(actors, self._parts)])
+        self._actors, self._parts = actors, None
+
+    def __getstate__(self) -> dict:
+        return {"n_shards": self.n_shards, "_parts": None, "_actors": self.shards}
+
+    def _call(self, method: str, args: dict[int, tuple]) -> dict:
+        """{shard id: args} → {shard id: method(*args)} on those shards."""
+        if self._actors is None:
+            return {sid: getattr(self._parts[sid], method)(*a) for sid, a in args.items()}
+        futs = [getattr(self._actors[sid], method).remote(*a) for sid, a in args.items()]
+        return dict(zip(args, ray.get(futs)))
+
+    def _each(self, method: str, *args) -> list:
+        return list(self._call(method, dict.fromkeys(range(self.n_shards), args)).values())
+
+    def _routed(self, method: str, keys: list[str], args_of) -> list[tuple[np.ndarray, object]]:
+        """Route *keys* to their shards and call method(*args_of(idxs)) on
+        each, idxs being the indices of that shard's keys; [(idxs, result)]."""
+        groups = group_indices_by_shard(keys, self.n_shards)
+        res = self._call(method, {sid: args_of(idxs) for sid, idxs in groups.items()})
+        return [(idxs, res[sid]) for sid, idxs in groups.items()]
+
+    def _keyed(self, method: str, keys: list[str]) -> list[tuple[np.ndarray, object]]:
+        return self._routed(method, keys, lambda idxs: ([keys[i] for i in idxs],))
+
+    def _update(self, method: str, updates: dict) -> None:
+        """Route a {key: value} update to the shards that own its keys."""
+        keys = list(updates)
+        self._routed(
+            method, keys, lambda idxs: ({keys[i]: updates[keys[i]] for i in idxs},)
+        )
+
+    def _merged(self, method: str, keys: list[str]) -> dict:
+        out: dict = {}
+        for _, d in self._keyed(method, keys):
+            out.update(d)
+        return out
 
     def check(self, keys: list[str]) -> list[bool]:
         out = [True] * len(keys)
-        groups = self._group(keys)
-        futs = {
-            sid: self.shards[sid].check.remote([keys[i] for i in idxs])
-            for sid, idxs in groups.items()
-        }
-        for sid, idxs in groups.items():
-            for i, unseen in zip(idxs, ray.get(futs[sid])):
-                out[i] = unseen
+        for idxs, unseen in self._keyed("check", keys):
+            for i, u in zip(idxs, unseen):
+                out[i] = u
         return out
 
     def add(self, keys: list[str]) -> None:
-        groups = self._group(keys)
-        ray.get(
-            [
-                self.shards[sid].add.remote([keys[i] for i in idxs])
-                for sid, idxs in groups.items()
-            ]
-        )
+        self._keyed("add", keys)
 
     def get_clocks(self, hosts: list[str]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        groups = self._group(hosts)
-        futs = [
-            self.shards[sid].get_clocks.remote([hosts[i] for i in idxs])
-            for sid, idxs in groups.items()
-        ]
-        for d in ray.get(futs):
-            out.update(d)
-        return out
+        return self._merged("get_clocks", hosts)
 
     def advance_clocks(self, updates: dict[str, int]) -> None:
-        per_shard: dict[int, dict[str, int]] = {}
-        for host, t in updates.items():
-            per_shard.setdefault(shard_of(host, self.n_shards), {})[host] = t
-        ray.get(
-            [self.shards[sid].advance_clocks.remote(u) for sid, u in per_shard.items()]
-        )
+        self._update("advance_clocks", updates)
 
     def get_sched(self, hosts: list[str]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        groups = self._group(hosts)
-        futs = [
-            self.shards[sid].get_sched.remote([hosts[i] for i in idxs])
-            for sid, idxs in groups.items()
-        ]
-        for d in ray.get(futs):
-            out.update(d)
-        return out
+        return self._merged("get_sched", hosts)
 
     def add_sched(self, updates: dict[str, int]) -> None:
-        per_shard: dict[int, dict[str, int]] = {}
-        for host, n in updates.items():
-            per_shard.setdefault(shard_of(host, self.n_shards), {})[host] = n
-        ray.get(
-            [self.shards[sid].add_sched.remote(u) for sid, u in per_shard.items()]
-        )
+        self._update("add_sched", updates)
 
     def get_lat(self, hosts: list[str]) -> dict[str, tuple[int, int]]:
-        out: dict[str, tuple[int, int]] = {}
-        groups = self._group(hosts)
-        futs = [
-            self.shards[sid].get_lat.remote([hosts[i] for i in idxs])
-            for sid, idxs in groups.items()
-        ]
-        for d in ray.get(futs):
-            out.update(d)
-        return out
+        return self._merged("get_lat", hosts)
 
     def add_lat(self, updates: dict[str, tuple[int, int]]) -> None:
-        per_shard: dict[int, dict[str, tuple[int, int]]] = {}
-        for host, sn in updates.items():
-            per_shard.setdefault(shard_of(host, self.n_shards), {})[host] = sn
-        ray.get(
-            [self.shards[sid].add_lat.remote(u) for sid, u in per_shard.items()]
-        )
+        self._update("add_lat", updates)
 
     def seen_count(self) -> int:
-        return sum(ray.get([s.seen_count.remote() for s in self.shards]))
+        return sum(self._each("seen_count"))
 
     def claim_frontier(
         self, wave: int, keys: list[str], pseqs: list[int], ords: list[int]
     ) -> None:
-        groups = self._group(keys)
-        ray.get(
-            [
-                self.shards[sid].claim_frontier.remote(
-                    wave,
-                    [keys[i] for i in idxs],
-                    [int(pseqs[i]) for i in idxs],
-                    [int(ords[i]) for i in idxs],
-                )
-                for sid, idxs in groups.items()
-            ]
+        self._routed(
+            "claim_frontier",
+            keys,
+            lambda idxs: (
+                wave,
+                [keys[i] for i in idxs],
+                [int(pseqs[i]) for i in idxs],
+                [int(ords[i]) for i in idxs],
+            ),
         )
 
     def clear_claims(self, wave: int) -> None:
-        ray.get([s.clear_claims.remote(wave) for s in self.shards])
+        self._each("clear_claims", wave)
 
     def snapshots(self) -> list[bytes]:
-        return ray.get([s.snapshot.remote() for s in self.shards])
+        return self._each("snapshot")
 
     def restore(self, blobs: list[bytes]) -> None:
         assert len(blobs) == self.n_shards
-        ray.get([s.restore.remote(b) for s, b in zip(self.shards, blobs)])
+        self._call("restore", {sid: (b,) for sid, b in enumerate(blobs)})
 
     def shutdown(self) -> None:
-        for s in self.shards:
+        if self._actors is None:
+            return
+        for s in self._actors:
             ray.kill(s)
-        self.shards = []
+        self._actors = []

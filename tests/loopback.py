@@ -5,8 +5,9 @@ semantics the synthetic lookup models: redirects, basic auth (401 without
 credentials), Set-Cookie / cookie-gated bodies, transient failures (the
 first ``fail_times`` requests per URL abort before any response — the
 Timeout/BadResponse/EOF analog), ETag + If-None-Match → 304, robots.txt,
-TLS (self-signed cert, the reference's VERIFY_NONE world) and
-Content-Encoding gzip/deflate transfer."""
+TLS (self-signed cert, the reference's VERIFY_NONE world),
+Content-Encoding gzip/deflate transfer, and an origin that closes every
+connection after its response without announcing it (``silent_close``)."""
 
 from __future__ import annotations
 
@@ -86,6 +87,8 @@ class _SiteHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        if self.server.silent_close:
+            self.close_connection = True  # no Connection: close was sent
 
     def _send_entity(self, status: int, body: bytes, ctype: str, extra: dict) -> None:
         """Entity send with optional transfer compression: when the server
@@ -167,11 +170,17 @@ class _SiteHandler(BaseHTTPRequestHandler):
 class SiteServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, tls: bool = False, compress: str | None = None, gzip_members: int = 1):
+    def __init__(
+        self, tls: bool = False, compress: str | None = None, gzip_members: int = 1,
+        silent_close: bool = False,
+    ):
         super().__init__(("127.0.0.1", 0), _SiteHandler)
         self.scheme = "https" if tls else "http"
         self.compress = compress
         self.gzip_members = gzip_members
+        self.silent_close = silent_close
+        # released once per connection the server has closed
+        self.conns_closed = threading.Semaphore(0)
         self.cert_file: str | None = None
         if tls:
             self.cert_file, key_file = make_self_signed_cert()
@@ -187,6 +196,10 @@ class SiteServer(ThreadingHTTPServer):
     def handle_error(self, request, client_address):
         pass  # aborted-connection noise from the transient-failure model
 
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.conns_closed.release()
+
     def load(self, web) -> None:
         """Serve a WEB_SCHEMA pyarrow table (tests build it with the same
         FakePage/web_table helpers the synthetic oracle web uses)."""
@@ -201,10 +214,16 @@ class SiteServer(ThreadingHTTPServer):
 
 
 @contextmanager
-def serve_site(tls: bool = False, compress: str | None = None, gzip_members: int = 1):
+def serve_site(
+    tls: bool = False, compress: str | None = None, gzip_members: int = 1,
+    silent_close: bool = False,
+):
     """Yield a started SiteServer; the caller builds pages with
     ``host=server.netloc`` and ``server.load(web_table(pages, ...))``."""
-    srv = SiteServer(tls=tls, compress=compress, gzip_members=gzip_members)
+    srv = SiteServer(
+        tls=tls, compress=compress, gzip_members=gzip_members,
+        silent_close=silent_close,
+    )
     t = threading.Thread(target=srv.serve_forever, daemon=True)
     t.start()
     try:

@@ -58,6 +58,25 @@ def test_connection_refused_and_retries():
     assert refused.error == "connection refused" and refused.code == 0
 
 
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_silently_closed_keepalive_reconnects(scheme):
+    """An origin that closes each connection after its response without
+    announcing it: the pooled socket is dead by the next request, which
+    must go out on a fresh connection instead of failing — even with no
+    retry budget to absorb it. A connection aborted after the request was
+    sent still spends the budget (test_connection_refused_and_retries)."""
+    with serve_site(tls=scheme == "https", silent_close=True) as srv:
+        pages = [FakePage(name=f"p{i}", host=srv.netloc, scheme=scheme) for i in range(4)]
+        srv.load(web_table(pages, scheme=scheme))
+        net = HttpNet(timeout=5, max_retries=0)
+        for i in range(4):
+            p = net.chain(page_url(f"p{i}", srv.netloc, scheme), 0, "", 5)[0]
+            assert p.fetched and p.code == 200, (i, p.error)
+            assert srv.conns_closed.acquire(timeout=5)  # the origin hung up
+        assert len(srv.page_paths()) == 4  # one request per fetch
+        net.close()
+
+
 def test_redirect_chain_limit_matches_synthetic():
     with serve_site() as srv:
         pages = [
