@@ -18,7 +18,6 @@ Scale notes (10^10-doc posture, exercised at 10^3-10^5):
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import defaultdict
 
 import numpy as np
@@ -899,11 +898,6 @@ def _components_label_prop(pairs: pa.Table, max_iters: int = 512) -> dict:
 
         checksum = int(new_labels.map_batches(_block_checksum, batch_format="pyarrow").sum("h"))
         labels = new_labels
-        if os.environ.get("CCRAY_LP_DEBUG"):
-            import sys as _sys
-            import time as _time
-
-            print(f"[lp round checksum={checksum} t={_time.time():.1f}]", file=_sys.stderr)
         if checksum == prev_checksum:
             break
         prev_checksum = checksum

@@ -1,25 +1,31 @@
 """The crawl pipeline — iterative BFS waves as Ray Data stages.
 
-Wave lifecycle (SURVEY §3.4), each wave one streaming Dataset pipeline:
+Wave lifecycle (SURVEY §3.4):
 
     frontier_d
-      → dedup_candidates            (in-wave first-wins; combiner + groupby)
+      → dedup_candidates            (in-wave first-wins; claims or groupby)
       → filter_unseen               (anti-join vs committed seen shards)
       → zip_with_index              (deterministic global seq; sort shuffle)
       → assign_slots                (groupby(host) politeness clocks)
       → [checkpoint frontier_d]     (the wave's durable work list)
-      → map_batches(FetchExtract)   (stateful actor pool; parse-extract fused)
-      → write raw/wave=d            (single consumption of the fetch stage)
+      → fetch + extract             (FetchExtract; parse-extract fused)
+      → write raw/wave=d            (parts named by min seq; retry-safe)
       → projections of raw          (documents/, pages/ — columnar reads)
       → explode_children → frontier_{d+1}
       → commit: seen.add(delta), clocks.advance, lineage marker
 
-A wave of at most ``small_wave_threshold`` candidate rows runs the same
-steps as in-process Arrow ops on the driver (``_plan_wave_local``). The
-crawl state (seen set, clocks, budgets, claims) starts in the driver too
-and moves into ``StateShard`` actors only when a Ray task first needs it:
-the first distributed-planned wave, a resume replay, or once the committed
-job count passes the threshold (state/shards.py ``ShardedState``). Only
+A wave of more than ``small_wave_threshold`` candidate rows runs these
+steps as one streaming Dataset pipeline, its fetch a ``map_batches`` stage.
+A smaller wave is planned as in-process Arrow ops on the driver
+(``_plan_wave_local``) and fetched from the job table the driver holds:
+in-process when it has at most ``driver_fetch_threshold`` jobs, else by
+plain Ray tasks over contiguous slices of that table (``_fetch_slice``),
+each writing its own raw parts. ``fetch_mode="actors"`` fetches every wave
+through a ``map_batches`` actor pool. The crawl state (seen set, clocks,
+budgets, claims) starts in the driver too and moves into ``StateShard``
+actors only when a Ray task first needs it: the first distributed-planned
+wave, a resume replay, or once the committed job count passes the
+threshold (state/shards.py ``ShardedState``). Only
 distributed-planned waves register next-wave claims; a driver frontier
 handed to the distributed planner is first-wins deduped on the driver.
 
@@ -51,7 +57,7 @@ from ..canon import canonical_url, host_of, normalize_seed
 from ..spec import CrawlSpec
 from ..state.shards import ShardedState
 from ..storage import read_json, read_table, write_json
-from ..stages.fetch import FetchExtract, make_fetch_fn
+from ..stages.fetch import FetchExtract, hold_wall_waits, make_fetch_fn, wall_waits
 from ..stages.frontier_ops import (
     ClaimChildren,
     _dedup_batch,
@@ -684,13 +690,22 @@ def crawl(
 
     fetch_mode: "tasks" (default) runs fetch+extract as stateless tasks with
     read-only state cached per worker process (no per-wave pool spawn);
-    "actors" uses a map_batches actor pool (required if the fetch stage ever
-    grows mutable per-connection state). small_wave_threshold: waves at or
-    below this many candidate rows are planned driver-side (semantically
-    identical) — 0 forces the fully distributed planner. The crawl state
-    stays in the driver until the first distributed-planned wave (or a
-    resume replay, or a committed job count above the threshold) moves it
-    into shard actors (ShardedState).
+    "actors" uses a map_batches actor pool for every wave (required if the
+    fetch stage ever grows mutable per-connection state). small_wave_threshold:
+    waves at or below this many candidate rows are planned driver-side
+    (semantically identical) — 0 forces the fully distributed planner. The
+    crawl state stays in the driver until the first distributed-planned wave
+    (or a resume replay, or a committed job count above the threshold) moves
+    it into shard actors (ShardedState).
+
+    Fetch routes in task mode: a driver-planned wave of at most
+    driver_fetch_threshold jobs is fetched in the driver process; a larger
+    one by plain Ray tasks over k = min(jobs, max(CPUs, ceil(jobs /
+    fetch_batch_size))) contiguous slices of its job table (on a real
+    network, k host lanes instead, so a host's jobs share one process and
+    its wall-clock spacing); a distributed-planned wave by a map_batches
+    stage of its Dataset. fetch_batch_size bounds the rows of one fetch
+    call on every route except the in-process one.
 
     prior_dir: a previous crawl's out_dir → incremental recrawl. The prior
     crawl's validated (canonical_url, etag, admitted links) load into
@@ -784,6 +799,43 @@ def _passthrough_part_writer(dirpath: str, project=None):
         return t if project is None else project(t)
 
     return write
+
+
+def _wave_slices(
+    tbl: pa.Table, k: int, by_host: bool = False
+) -> tuple[pa.Table, list[tuple[int, int]]]:
+    """Split a driver-planned wave's seq-ordered job table into the [lo, hi)
+    row ranges of its fetch tasks: *k* contiguous ranges of near-equal size.
+    With *by_host* (a real network, whose wall-clock spacing holds within
+    one process) the rows are first regrouped, seq order kept, into *k*
+    host lanes so that each host's jobs are one range."""
+    import numpy as np
+
+    n = tbl.num_rows
+    if not by_host:
+        return tbl, [(n * i // k, n * (i + 1) // k) for i in range(k)]
+    from ..state.shards import shards_of
+
+    lanes = shards_of(tbl.column("host").to_pylist(), k)
+    tbl = tbl.take(pa.array(np.argsort(lanes, kind="stable")))
+    counts = np.bincount(lanes, minlength=k)
+    ends = np.cumsum(counts)
+    return tbl, [(int(e - c), int(e)) for c, e in zip(counts, ends) if c]
+
+
+@ray.remote
+def _fetch_slice(fetch_fn, tbl: pa.Table, lo: int, hi: int, raw_dir: str,
+                 batch_size: int, waits: dict[str, float]) -> dict[str, float]:
+    """One fetch task of a driver-planned wave: rows [lo, hi) of the wave's
+    job table, at most *batch_size* per fetch call, each call's output
+    written as a raw part (named from its min seq, so a retried task
+    overwrites its own parts). Takes and returns the per-host wall-clock
+    waits of a real network (empty for a synthetic one)."""
+    hold_wall_waits(waits)
+    write = _passthrough_part_writer(raw_dir)
+    for s in range(lo, hi, batch_size):
+        write(fetch_fn(tbl.slice(s, min(batch_size, hi - s))))
+    return wall_waits()
 
 
 def _spill_split_writer(
@@ -1024,12 +1076,8 @@ def _crawl_inner(
             pq.write_table(fm_tbl, os.path.join(fdir, "part-0.parquet"))
             # conditional-GET columns attach AFTER the frontier write (the
             # durable frontier keeps its lean schema; prior_links would
-            # bloat it) and the same table feeds the driver-fetch path
+            # bloat it) and the same table feeds the fetch
             fetch_tbl = prior_attach(fm_tbl) if prior_attach is not None else fm_tbl
-            fetch_in = rd.from_arrow(fetch_tbl)
-            nblocks = max(1, min(math.ceil(n_jobs / fetch_batch_size), ncpus * 2))
-            if nblocks > 1:
-                fetch_in = fetch_in.repartition(nblocks)
         else:
             # the plan's tasks call the shards: move the state into its
             # actors now (no-op after the first distributed wave)
@@ -1153,10 +1201,11 @@ def _crawl_inner(
         )
 
         # --- fetch + extract (single consumption → durable raw) ---
-        # a wave smaller than one fetch batch gains nothing from a
-        # distributed execution (~0.5-1 s floor per wave); run it in-process
-        # — same FetchExtract, same output files (hybrid-planner philosophy;
-        # real waves and actor mode always go distributed)
+        # a driver-planned wave of at most driver_fetch_threshold jobs runs
+        # in-process (a task round trip costs more than it parallelizes) —
+        # same FetchExtract, same output files; a larger one runs as plain
+        # Ray tasks over slices of its job table; distributed-planned waves
+        # and actor mode run as one Ray Data execution
         if (
             local
             and fetch_mode == "tasks"
@@ -1169,7 +1218,29 @@ def _crawl_inner(
             os.makedirs(raw_dir, exist_ok=True)
             out_tbl = driver_fx(fetch_tbl)
             pq.write_table(out_tbl, os.path.join(raw_dir, "part-0.parquet"))
+        elif local and fetch_mode == "tasks":
+            # at least one task per CPU, at most fetch_batch_size rows per
+            # fetch call; the commit below reads the parts from raw_dir
+            k = min(n_jobs, max(ncpus, math.ceil(n_jobs / fetch_batch_size)))
+            tbl, bounds = _wave_slices(
+                fetch_tbl, k, by_host=bool(getattr(web, "realtime", False))
+            )
+            tbl_ref = ray.put(tbl)
+            fn_ref = ray.put(make_fetch_fn(web_ref, spec, wave, crawl_id, cookie_hdrs))
+            waits = wall_waits()
+            for w in ray.get([
+                _fetch_slice.remote(
+                    fn_ref, tbl_ref, lo, hi, raw_dir, fetch_batch_size, waits
+                )
+                for lo, hi in bounds
+            ]):
+                hold_wall_waits(w)
         else:
+            if local:  # actor mode
+                fetch_in = rd.from_arrow(fetch_tbl)
+                nblocks = min(math.ceil(n_jobs / fetch_batch_size), ncpus * 2)
+                if nblocks > 1:
+                    fetch_in = fetch_in.repartition(nblocks)
             if fetch_mode == "tasks":
                 raw = fetch_in.map_batches(
                     make_fetch_fn(web_ref, spec, wave, crawl_id, cookie_hdrs),

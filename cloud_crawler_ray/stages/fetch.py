@@ -86,6 +86,22 @@ FETCH_OUT_SCHEMA = pa.schema(
 _NEXT_OK_WALL: dict[str, float] = {}
 
 
+def wall_waits() -> dict[str, float]:
+    """Seconds each host must still wait before its next fetch from this
+    process (hosts whose spacing has run out are left out). Relative times,
+    so they can be carried to another process whatever its clock."""
+    now = time.monotonic()
+    return {h: t - now for h, t in _NEXT_OK_WALL.items() if t > now}
+
+
+def hold_wall_waits(waits: dict[str, float]) -> None:
+    """Merge *waits* (``wall_waits`` of another process) into this process's
+    spacing; each only lengthens a host's wait."""
+    now = time.monotonic()
+    for h, w in waits.items():
+        _NEXT_OK_WALL[h] = max(_NEXT_OK_WALL.get(h, 0.0), now + w)
+
+
 class FetchExtract:
     def __init__(self, web_ref, spec: CrawlSpec, wave: int, cookie_hdrs: dict | None = None):
         payload = ray.get(web_ref)
@@ -157,9 +173,10 @@ class FetchExtract:
                     # worker), and the per-process next-allowed map keyed by
                     # host enforces delay between a fetch END and the next
                     # same-host START, whatever the real response times do.
-                    # Cross-wave, worker reuse (_PROC_CACHE) keeps the map
-                    # warm; a host migrating to a cold worker between waves
-                    # is additionally spaced by the wave-planning barrier.
+                    # Across driver-planned waves the driver carries each
+                    # host's remaining wait to the next wave's fetch tasks
+                    # (wall_waits / hold_wall_waits); a distributed-planned
+                    # wave is spaced by its planning barrier only.
                     wait = _NEXT_OK_WALL.get(host, 0.0) - time.monotonic()
                     if wait > 0:
                         time.sleep(wait)

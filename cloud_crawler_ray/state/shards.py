@@ -21,7 +21,6 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
-import pandas as pd
 import ray
 
 from .filters import BloomFilter
@@ -39,6 +38,10 @@ def shards_of(keys: list[str], n_shards: int) -> np.ndarray:
     the array — i.e. routing becomes block-content-dependent. Composite
     keys should join with a non-NUL separator (\\x1f, or a char the parts
     cannot contain)."""
+    # imported here, not at module level: a StateShard actor imports this
+    # module and never routes, and pandas would add to its start-up
+    import pandas as pd
+
     if not keys:
         return np.empty(0, dtype=np.int64)
     arr = np.asarray(keys, dtype=object)
@@ -64,7 +67,14 @@ class StatePartition:
     until ``ShardedState`` promotes it, then the body of a ``StateShard``
     actor — one implementation in both places."""
 
-    def __init__(self, shard_id: int, bloom_bits: int = 1 << 20):
+    def __init__(
+        self, shard_id: int, bloom_bits: int = 1 << 20, fields: dict | None = None
+    ):
+        if fields is not None:
+            # every field of a driver-held partition, claims included — how
+            # it moves into its actor
+            self.__dict__.update(fields)
+            return
         self.shard_id = shard_id
         self.seen: set[str] = set()
         self.bloom = BloomFilter(n_bits=bloom_bits)
@@ -82,11 +92,6 @@ class StatePartition:
         # planning, cleared at that wave's commit. Never checkpointed — a
         # resumed plan re-registers via the fallback claim pass.
         self.claims: dict[int, dict[str, tuple[int, int]]] = {}
-
-    def load(self, fields: dict) -> None:
-        """Take over every field of another partition (claims included) —
-        how a driver-held partition moves into its actor."""
-        self.__dict__.update(fields)
 
     # ---- membership (the Redis bloom analog) ----
     def check(self, keys: list[str]) -> list[bool]:
@@ -213,7 +218,7 @@ class ShardedState:
     The partitions start in the driver process as plain objects, so a crawl
     whose waves are all planned on the driver starts no actor. The first
     read of ``shards`` promotes them: one ``StateShard`` actor per
-    partition, loaded with every field, after which the state lives only
+    partition, constructed with every field, after which the state lives only
     in the actors. The crawl reads ``shards`` when a Ray task first needs a
     handle — the first distributed-planned wave, a resume replay, the
     legacy shuffle path — and when its committed job count passes the
@@ -242,12 +247,15 @@ class ShardedState:
 
     def promote(self) -> None:
         """Move every partition into its own ``StateShard`` actor (no-op
-        once promoted)."""
+        once promoted). Returns without waiting for the actors to start:
+        calls on them queue until they are up, so the caller's next work
+        overlaps their start-up."""
         if self._actors is not None:
             return
-        actors = [StateShard.remote(p.shard_id, p.bloom.n_bits) for p in self._parts]
-        ray.get([a.load.remote(vars(p)) for a, p in zip(actors, self._parts)])
-        self._actors, self._parts = actors, None
+        self._actors = [
+            StateShard.remote(p.shard_id, fields=vars(p)) for p in self._parts
+        ]
+        self._parts = None
 
     def __getstate__(self) -> dict:
         return {"n_shards": self.n_shards, "_parts": None, "_actors": self.shards}

@@ -258,23 +258,34 @@ def test_real_socket_politeness_spacing(ray_session, tmp_path):
     """Same-host fetches over the wire are spaced by ≥ spec.delay: the
     loopback origin timestamps every request; consecutive page requests must
     be at least the delay apart (modest tolerance for sleep jitter)."""
+    _assert_spacing(tmp_path, {"p0": ["a", "b", "c", "d"]})
+
+
+def test_real_socket_politeness_spacing_fetch_tasks(ray_session, tmp_path):
+    """The same spacing when waves alternate between the driver (1 job) and
+    Ray tasks (2 jobs): a wave's same-host jobs share one task, and the
+    host's remaining wait is carried between the driver and the tasks."""
+    _assert_spacing(
+        tmp_path, {"p0": ["a", "b"], "a": ["c"], "c": ["d", "e"]},
+        driver_fetch_threshold=1,
+    )
+
+
+def _assert_spacing(tmp_path, links: dict[str, list[str]], **crawl_kw):
     from cloud_crawler_ray.pipelines.crawl import crawl
 
     delay = 0.25
+    names = list(dict.fromkeys(n for page, kids in links.items() for n in [page, *kids]))
     with serve_site() as srv:
         pages = [
-            FakePage(name="p0", host=srv.netloc, links=["a", "b", "c", "d"]),
-            FakePage(name="a", host=srv.netloc),
-            FakePage(name="b", host=srv.netloc),
-            FakePage(name="c", host=srv.netloc),
-            FakePage(name="d", host=srv.netloc),
+            FakePage(name=n, host=srv.netloc, links=links.get(n, [])) for n in names
         ]
         web = web_table(pages)
         srv.load(web)
         net = HttpNet(port_map={"127.0.0.1": srv.server_address[1]})
         crawl(net, [page_url("p0", srv.netloc)], CrawlSpec(delay=delay),
-              str(tmp_path / "out"))
+              str(tmp_path / "out"), **crawl_kw)
         stamps = sorted(t for t, _ in srv.page_paths())
-        assert len(stamps) == 5
+        assert len(stamps) == len(names)
         gaps = [b - a for a, b in zip(stamps, stamps[1:])]
         assert all(g >= delay * 0.9 for g in gaps), gaps

@@ -290,3 +290,21 @@ def test_one_cpu_session_crawls(tmp_path):
         out, _ = proc.communicate()
         pytest.fail("num_cpus=1 crawl still running after 240 s:\n" + out[-3000:])
     assert proc.returncode == 0 and "ONE_CPU_CRAWL_OK" in out, out[-3000:]
+
+
+def test_shard_module_does_not_import_pandas():
+    """A StateShard actor process imports state.shards but never routes
+    keys, so the module must not pull in pandas (about half a second of
+    each actor's start-up); shards_of imports it when called."""
+    code = (
+        "import sys\n"
+        "import cloud_crawler_ray.state.shards as s\n"
+        "assert 'pandas' not in sys.modules, 'pandas imported'\n"
+        "s.shards_of(['a', 'b'], 2)\n"
+        "assert 'pandas' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, env=dict(os.environ, PYTHONPATH=REPO),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
