@@ -3,8 +3,8 @@
 Wave lifecycle (SURVEY §3.4):
 
     frontier_d
-      → dedup_candidates            (in-wave first-wins; claims or groupby)
-      → filter_unseen               (anti-join vs committed seen shards)
+      → admit_frontier              (in-wave first-wins claims + anti-join
+                                     vs committed seen shards, one RPC)
       → zip_with_index              (deterministic global seq; sort shuffle)
       → assign_slots                (groupby(host) politeness clocks)
       → [checkpoint frontier_d]     (the wave's durable work list)
@@ -12,7 +12,8 @@ Wave lifecycle (SURVEY §3.4):
       → write raw/wave=d            (parts named by min seq; retry-safe)
       → projections of raw          (documents/, pages/ — columnar reads)
       → explode_children → frontier_{d+1}
-      → commit: seen.add(delta), clocks.advance, lineage marker
+      → commit: mark the seen delta in the shards, write the keys it
+                newly marked as seen/wave=d, clocks.advance, lineage marker
 
 A wave of more than ``small_wave_threshold`` candidate rows runs these
 steps as one streaming Dataset pipeline, its fetch a ``map_batches`` stage.
@@ -30,10 +31,12 @@ distributed-planned waves register next-wave claims; a driver frontier
 handed to the distributed planner is first-wins deduped on the driver.
 
 Durability/commit protocol (north_rule resumability): per wave the engine
-writes (1) the slotted frontier, (2) the raw fetch output, (3) the seen
-delta, then (4) the ``lineage/wave=N.json`` marker LAST (atomic rename).
-Resume scans lineage markers: committed waves replay their seen deltas into
-fresh shards and restore clocks from the marker; an uncommitted wave is
+writes (1) the slotted frontier, (2) the raw fetch output, (3) one seen
+part holding the keys this wave newly marked (``ShardedState.take_fresh``:
+each key is stored once, in the wave that first marks it, so the parts of a
+crawl are disjoint), then (4) the ``lineage/wave=N.json`` marker LAST
+(atomic rename). Resume scans lineage markers: committed waves replay their
+seen parts into fresh shards and restore clocks from the marker; an uncommitted wave is
 recomputed from its checkpointed frontier (same slots — clocks only advance
 at commit), so no committed fetch is ever repeated and the politeness budget
 survives the kill (reference checkpoint analog: batch_job.rb:246-268, with
@@ -63,9 +66,7 @@ from ..stages.frontier_ops import (
     _dedup_batch,
     admit_frontier,
     claim_candidates,
-    dedup_candidates,
     explode_children,
-    filter_unseen,
 )
 from ..stages.indexing import zip_with_index
 from ..stages.politeness import assign_slots, build_chain_latency_index
@@ -357,30 +358,15 @@ class CrawlHandle:
         return ds.map_batches(project, batch_format="pyarrow")
 
     def seen_urls(self) -> rd.Dataset:
-        """Committed URL-seen set as a Dataset of distinct canonical_url —
-        the at-scale reader: the set is deduped shard-locally and never
-        materializes on the driver (test helpers build Python sets from it
-        at test scale). Curl mode marks nothing → typed empty Dataset."""
+        """Committed URL-seen set as a Dataset of distinct canonical_url — a
+        plain scan of the seen parts, which are disjoint (each wave's part
+        holds only the keys it newly marked), so the set never materializes
+        on the driver (test helpers build Python sets from it at test
+        scale). Curl mode marks nothing → typed empty Dataset."""
         seen_dir = os.path.join(self.out_dir, "seen")
-        if not os.path.isdir(seen_dir) or not glob.glob(
-            os.path.join(seen_dir, "wave=*", "*.parquet")
-        ):
+        if not glob.glob(os.path.join(seen_dir, "wave=*", "*.parquet")):
             return self._empty(pa.schema([("canonical_url", pa.string())]))
-        from ..state.shards import shards_of
-
-        def add_shard(t: pa.Table) -> pa.Table:
-            sh = shards_of(t.column("canonical_url").to_pylist(), 64)
-            return t.append_column("shard", pa.array(sh, pa.int64()))
-
-        ds = read_table(seen_dir, columns=["canonical_url"])
-        return (
-            ds.map_batches(add_shard, batch_format="pyarrow")
-            .groupby("shard")
-            .map_groups(
-                lambda t: t.group_by("canonical_url").aggregate([]),
-                batch_format="pyarrow",
-            )
-        )
+        return read_table(seen_dir, columns=["canonical_url"])
 
 
 def open_crawl(out_dir: str) -> CrawlHandle:
@@ -464,8 +450,8 @@ def _plan_wave_local(
 ) -> tuple[pa.Table, pa.Table]:
     """Driver-side wave planning for small waves (≤ small_wave_threshold).
 
-    Semantically identical to the distributed path (dedup_candidates →
-    filter_unseen → zip_with_index → assign_slots) but as in-process Arrow
+    Semantically identical to the distributed path (claims + admit_frontier
+    → zip_with_index → assign_slots) but as in-process Arrow
     ops: below the threshold the wave's metadata is tiny (≈100 B/row) and
     five Ray Data executions per wave cost more than they parallelize.
     Membership, budget and clock reads go through ``state``: direct calls
@@ -619,8 +605,9 @@ def fire_hook(fn, ctx: dict, counters: dict[str, int]) -> None:
 
 
 class AddSeen:
-    """map_batches callable that pushes canonical URLs into the shards —
-    distributed commit of the wave's seen delta."""
+    """map_batches callable that marks canonical URLs in the shards — the
+    distributed commit of a wave's seen delta. Idempotent: a retried batch
+    re-marks nothing, and each shard records a key as fresh only once."""
 
     def __init__(self, shards: list):
         self.shards = shards
@@ -839,8 +826,7 @@ def _fetch_slice(fetch_fn, tbl: pa.Table, lo: int, hi: int, raw_dir: str,
 
 
 def _spill_split_writer(
-    spill_dir: str, cutoff: int, claim_shards: list | None = None,
-    claim_wave: int | None = None,
+    spill_dir: str, cutoff: int, claim_shards: list, claim_wave: int
 ):
     """map_batches stage fusing the job_limit spill into the wave plan: rows
     with seq >= cutoff are written to *spill_dir* (sans seq — re-assigned
@@ -850,9 +836,9 @@ def _spill_split_writer(
     tail-write execution. Part naming and retry-idempotence as in
     _passthrough_part_writer (min seq is globally unique per wave).
 
-    With *claim_shards*, spilled rows also register next-wave first-wins
-    claims (they re-enter wave *claim_wave*'s candidate pool alongside that
-    wave's children; idempotent min-merge, so retries are safe)."""
+    Spilled rows also register first-wins claims on *claim_shards* (they
+    re-enter wave *claim_wave*'s candidate pool alongside that wave's
+    children; idempotent min-merge, so retries are safe)."""
     import pyarrow.parquet as pq
 
     def split(t: pa.Table) -> pa.Table:
@@ -864,29 +850,30 @@ def _spill_split_writer(
                 tail.drop_columns(["seq"]),
                 os.path.join(spill_dir, f"part-{lo:012d}.parquet"),
             )
-            if claim_shards is not None:
-                from ..stages.frontier_ops import _claim_to_shards
+            from ..stages.frontier_ops import _claim_to_shards
 
-                _claim_to_shards(
-                    claim_shards,
-                    claim_wave,
-                    tail.column("canonical_url").to_pylist(),
-                    tail.column("parent_seq").to_numpy(zero_copy_only=False),
-                    tail.column("ordinal").to_numpy(zero_copy_only=False),
-                )
+            _claim_to_shards(
+                claim_shards,
+                claim_wave,
+                tail.column("canonical_url").to_pylist(),
+                tail.column("parent_seq").to_numpy(zero_copy_only=False),
+                tail.column("ordinal").to_numpy(zero_copy_only=False),
+            )
         return t.filter(pc.less(t.column("seq"), cutoff))
 
     return split
 
 
 def _seen_projection(t: pa.Table) -> pa.Table:
-    """Raw fetch block → the wave's seen delta, self-contained: the job
-    canonicals (every attempted URL is marked, fetched or not — bloom
-    mark-at-commit semantics) plus the fetched hops' canonicals (redirect
-    targets). Deriving BOTH from the raw block means the seen-commit needs
-    no second branch over the slotted frontier, which lets the whole wave
-    body (slots → frontier write → fetch → raw write → seen commit) run as
-    ONE Ray execution. ``canonical_url(job_url)`` equals the frontier's
+    """Raw fetch block → its share of the wave's seen delta (distinct within
+    the block), self-contained: the job canonicals (every attempted URL is
+    marked, fetched or not — bloom mark-at-commit semantics) plus the
+    fetched hops' canonicals (redirect targets, which may be seen already:
+    ``AddSeen`` keeps only the new ones, and the driver writes those).
+    Deriving BOTH from the raw block means the seen mark needs no second
+    branch over the slotted frontier, which lets the whole wave body
+    (slots → frontier write → fetch → raw write → seen mark) run as ONE
+    Ray execution. ``canonical_url(job_url)`` equals the frontier's
     ``canonical_url`` by construction (_seeds_frontier / explode_children
     both compute it with the same function over the same string)."""
     from ..canon import canonical_urls
@@ -957,7 +944,7 @@ def _crawl_inner(
         total_jobs = last["total_jobs"]
         hook_counters = {k: int(v) for k, v in last.get("hook_counters", {}).items()}
         cookie_hdrs = dict(last.get("cookies", {}))
-        # replay committed seen deltas into fresh shards (distributed restore)
+        # replay committed seen parts into fresh shards (distributed restore)
         seen_files = [
             f
             for m in committed
@@ -1038,12 +1025,14 @@ def _crawl_inner(
             hook_counters,
         )
 
-    # claim-based in-wave dedup (default; CCRAY_DEDUP=shuffle forces the
-    # legacy groupby path). claims_ready: wave W's candidates were claimed by
-    # wave W-1's distributed execution, or deduped on the driver after a
-    # driver-planned wave — False for the first planned wave (seeds, resume)
-    claims_mode = os.environ.get("CCRAY_DEDUP", "claims") != "shuffle"
+    # claim-based in-wave dedup. claims_ready: wave W's candidates were
+    # claimed by wave W-1's distributed execution, or deduped on the driver
+    # after a driver-planned wave — False for the first planned wave (seeds,
+    # resume)
     claims_ready = False
+    # keys marked before the first wave (a resume replay, an injected
+    # state) belong to no wave's seen part
+    state.take_fresh()
 
     wave = start_wave
     while True:
@@ -1084,21 +1073,14 @@ def _crawl_inner(
             state.promote()
             f = fr_ds
             if spec.follow_links:
-                if not claims_mode:
-                    # legacy shuffle path (CCRAY_DEDUP=shuffle): hash-shard
-                    # groupby dedup + separate seen RPC filter
-                    f = dedup_candidates(f)
-                    f = filter_unseen(f, state)
-                else:
-                    # claim path (default): candidates were claimed by their
-                    # PRODUCING execution (fetch tasks / spill writer); the
-                    # in-wave dedup + seen anti-join is one map-side RPC
-                    # filter — no shuffle. Seed waves and resume replans had
-                    # no producing execution → fallback claim pass (its
-                    # materialize is the registration barrier).
-                    if not claims_ready:
-                        f = claim_candidates(f, state, wave)
-                    f = admit_frontier(f, state, wave)
+                # candidates were claimed by their PRODUCING execution (fetch
+                # tasks / spill writer); the in-wave dedup + seen anti-join
+                # is one map-side RPC filter — no shuffle. Seed waves and
+                # resume replans had no producing execution → fallback claim
+                # pass (its materialize is the registration barrier).
+                if not claims_ready:
+                    f = claim_candidates(f, state, wave)
+                f = admit_frontier(f, state, wave)
             if spec.priority_fn is not None:
                 pf = spec.priority_fn
 
@@ -1151,8 +1133,7 @@ def _crawl_inner(
                 f = f.map_batches(
                     _spill_split_writer(
                         spill_dir, next_seq + spec.job_limit,
-                        claim_shards=state.shards if claims_mode else None,
-                        claim_wave=wave + 1,
+                        claim_shards=state.shards, claim_wave=wave + 1,
                     ),
                     batch_format="pyarrow",
                 )
@@ -1186,7 +1167,7 @@ def _crawl_inner(
             )
             if prior_attach is not None:
                 # conditional-GET columns: one batched RPC per prior shard
-                # per block (the SeenFilter pattern), after the frontier
+                # per block (the AdmitFrontier pattern), after the frontier
                 # parts are written so the durable schema stays lean
                 fetch_in = fetch_in.map_batches(
                     prior_attach, batch_format="pyarrow"
@@ -1255,7 +1236,7 @@ def _crawl_inner(
                     batch_size=fetch_batch_size,
                     concurrency=fetch_concurrency,
                 )
-            if claims_mode and spec.follow_links and not local:
+            if spec.follow_links and not local:
                 # next-wave first-wins claims registered inside this wave's
                 # execution (its completion is the planning barrier) — the
                 # wave after this one needs no dedup shuffle. A local wave
@@ -1265,58 +1246,51 @@ def _crawl_inner(
                     ClaimChildren(state.shards, wave + 1), batch_format="pyarrow"
                 )
             if not local and spec.follow_links:
-                # fuse the raw write with the seen-commit: the fetch stage
+                # fuse the raw write with the seen mark: the fetch stage
                 # writes its durable raw parts in-task (passthrough writer)
                 # and forwards the wave's seen delta — job canonicals plus
                 # fetched canonicals, both derivable from the raw block
-                # (_seen_projection) — then per-batch local distinct →
-                # idempotent shard mark → seen parquet. With the slotted
-                # frontier feeding fetch lazily, this single consumption
-                # executes the ENTIRE wave body (slots → frontier parts →
-                # fetch → raw parts → seen commit) as one Ray execution.
-                raw_meta = raw.map_batches(
+                # (_seen_projection) — to an idempotent shard mark. With
+                # the slotted frontier feeding fetch lazily, this single
+                # consumption executes the ENTIRE wave body (slots →
+                # frontier parts → fetch → raw parts → seen mark) as one Ray
+                # execution; the commit below writes the keys it marked.
+                # materialize, not to_arrow_refs/limit: Ray 2.49 can abort
+                # the driver when it cancels a task that is completing
+                raw.map_batches(
                     _passthrough_part_writer(raw_dir, project=_seen_projection),
                     batch_format="pyarrow",
                     batch_size=None,
-                )
-                adder = AddSeen(state.shards)
-
-                def distinct_and_mark(t: pa.Table, adder=adder) -> pa.Table:
-                    out = t.group_by("canonical_url").aggregate([])  # local distinct
-                    adder(out)  # fused seen-shard commit (idempotent adds)
-                    return out
-
-                raw_meta.map_batches(
-                    distinct_and_mark, batch_format="pyarrow"
-                ).write_parquet(seen_dir)
+                ).map_batches(AddSeen(state.shards), batch_format="pyarrow").materialize()
             else:
                 raw.write_parquet(raw_dir)
 
         # --- seen delta (job urls + fetched page urls) + commit ---
         # curl mode marks nothing (no bloom in BatchCurlJob, batch_curl_job.rb)
-        if local:
-            if spec.follow_links:
+        if spec.follow_links:
+            if local:
                 raw_meta = pq.read_table(raw_dir, columns=["canonical_url", "fetched"])
                 fetched_canon = raw_meta.filter(raw_meta.column("fetched")).column(
                     "canonical_url"
                 ).to_pylist()
-                delta = list(set(fm_tbl.column("canonical_url").to_pylist()) | set(fetched_canon))
-                os.makedirs(seen_dir, exist_ok=True)
-                pq.write_table(
-                    pa.table({"canonical_url": pa.array(delta, pa.string())}),
-                    os.path.join(seen_dir, "part-0.parquet"),
+                state.add(
+                    list(set(fm_tbl.column("canonical_url").to_pylist()) | set(fetched_canon))
                 )
-                state.add(delta)
-            wave_tbl = fm_tbl
-        else:
-            # the seen delta (if any) was committed inside the fetch execution
-            # above; only the per-host commit remains — a few small columns
-            # of the wave's frontier, read driver-side (no Ray execution)
-            wave_tbl = pq.read_table(
-                fdir,
-                columns=["host", "job_end_ms", "fetch_time_ms"]
-                + (["url"] if spec.trap_guard is not None else []),
+            # the wave's one seen part: the keys its mark (above, or inside
+            # the fetch execution) inserted — each key once, in the first
+            # wave that marks it
+            os.makedirs(seen_dir, exist_ok=True)
+            pq.write_table(
+                pa.table({"canonical_url": pa.array(state.take_fresh(), pa.string())}),
+                os.path.join(seen_dir, "part-0.parquet"),
             )
+        # the per-host commit: a distributed wave reads a few small columns
+        # of its frontier driver-side (no Ray execution)
+        wave_tbl = fm_tbl if local else pq.read_table(
+            fdir,
+            columns=["host", "job_end_ms", "fetch_time_ms"]
+            + (["url"] if spec.trap_guard is not None else []),
+        )
         updates, sched_updates, lat_updates = _host_commit(wave_tbl)
         trap_updates: dict[str, int] = {}
         if spec.trap_guard is not None:
@@ -1432,13 +1406,12 @@ def _crawl_inner(
             },
         )
         committed.append(read_json(os.path.join(out_dir, "lineage", f"wave={wave:05d}.json")))
-        if claims_mode:
-            # this wave's claims were consumed by its plan; free the shard
-            # memory. Claims for wave+1 (registered by this wave's fetch /
-            # spill writers when it was planned distributed) are now
-            # complete — the next plan skips the fallback claim pass.
-            state.clear_claims(wave)
-            claims_ready = spec.follow_links
+        # this wave's claims were consumed by its plan; free the shard
+        # memory. Claims for wave+1 (registered by this wave's fetch / spill
+        # writers when it was planned distributed) are now complete — the
+        # next plan skips the fallback claim pass.
+        state.clear_claims(wave)
+        claims_ready = spec.follow_links
 
         if not spec.follow_links and not spilled:
             wave += 1

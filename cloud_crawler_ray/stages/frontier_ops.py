@@ -2,12 +2,14 @@
 expansion. All vectorized Arrow batch transforms.
 
 - Dedup replaces the reference's queue serialization (first job to check the
-  bloom filter wins, crawl_job.rb:96): per-batch partial dedup first (the
-  combiner), then a ``groupby(canonical_url)`` keeping the min
-  (parent_seq, ordinal) row — deterministic first-wins.
+  bloom filter wins, crawl_job.rb:96): the min (parent_seq, ordinal) row
+  per canonical_url wins — deterministic first-wins, decided by claims
+  registered on the state shards (below) or by ``_dedup_batch`` on the
+  driver.
 - The seen filter is the cross-wave anti-join against the sharded membership
-  actors (the Redis bloom analog): one batched RPC per shard per batch,
-  check-only — marking happens at wave commit (batch_crawl_job.rb:139-153).
+  actors (the Redis bloom analog), fused with the claim check into one
+  batched RPC per shard per batch (``admit_frontier``), check-only —
+  marking happens at wave commit (batch_crawl_job.rb:139-153).
 - Child expansion explodes the fetch stage's already-admitted ``child_urls``
   lists into next-wave frontier rows.
 """
@@ -20,12 +22,11 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..canon import canonical_url, host_of
-
 
 def _dedup_batch(batch: pa.Table) -> pa.Table:
-    """Partial (within-batch) dedup: keep min (parent_seq, ordinal) per
-    canonical_url — shrinks the shuffle input."""
+    """Within-batch dedup: keep min (parent_seq, ordinal) per canonical_url
+    — exact on a whole driver-side frontier, a partial that shrinks the
+    claim RPCs on a Dataset block."""
     order = pc.sort_indices(
         batch,
         sort_keys=[
@@ -50,10 +51,11 @@ def _first_of_run_mask(keys) -> pa.Array:
     return pa.concat_arrays([pa.array([True]), neq.combine_chunks() if isinstance(neq, pa.ChunkedArray) else neq])
 
 
-# Hash-shard floor for the dedup shuffle. A group-per-URL groupby pays Ray's
-# ~2 ms/group UDF overhead exactly when the distributed planner runs (>100k
-# candidates); hashing to a bounded shard count keeps the per-group overhead
-# constant while the per-shard work stays the vectorized sort+mask kernel.
+# Hash-shard floor for the groupby(shard) stages (host slotting and budgets,
+# crawl_diff, the document semi-join, ops/dedup). A group-per-key groupby
+# pays Ray's ~2 ms/group UDF overhead per distinct key; hashing to a bounded
+# shard count keeps the per-group overhead constant while the per-shard work
+# stays a vectorized sort+mask kernel.
 _DEDUP_SHARDS = 64
 
 
@@ -66,67 +68,10 @@ def _cluster_shards(floor: int = _DEDUP_SHARDS) -> int:
     return max(floor, 2 * ncpu)
 
 
-def _dedup_shard(group: pa.Table) -> pa.Table:
-    """Per-shard exact dedup: all rows of a canonical_url hash to one shard,
-    so the within-shard sort + first-of-run mask (the `_dedup_batch` body) is
-    globally correct."""
-    return _dedup_batch(group).drop_columns(["_ushard"])
-
-
-def dedup_candidates(ds: rd.Dataset, n_shards: int | None = None) -> rd.Dataset:
-    """In-wave first-wins dedup, shard-local: per-batch partial (combiner)
-    → hash(canonical_url) shard column → groupby(shard) with the same
-    vectorized kernel per shard. Plan cost scales with rows, not with the
-    number of distinct URLs (the frontier-scale requirement)."""
-    from ..state.shards import shards_of
-
-    if n_shards is None:
-        n_shards = _cluster_shards()
-    ds = ds.map_batches(_dedup_batch, batch_format="pyarrow")
-
-    def add_shard(t: pa.Table) -> pa.Table:
-        sh = shards_of(t.column("canonical_url").to_pylist(), n_shards)
-        return t.append_column("_ushard", pa.array(sh, pa.int64()))
-
-    ds = ds.map_batches(add_shard, batch_format="pyarrow")
-    return ds.groupby("_ushard").map_groups(_dedup_shard, batch_format="pyarrow")
-
-
-class SeenFilter:
-    """map_batches callable: drop rows whose canonical_url is in the
-    committed seen set. Handles are cloudpickled into the closure; calls are
-    batched per shard (never per URL) and all shard RPCs resolve in one
-    ray.get (total wait = the slowest shard, never a serial sum)."""
-
-    def __init__(self, shards: list):
-        self.shards = shards
-        self.n = len(shards)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..state.shards import group_indices_by_shard
-
-        keys = batch.column("canonical_url").to_pylist()
-        if not keys:
-            return batch
-        groups = group_indices_by_shard(keys, self.n)
-        futs = [
-            self.shards[sid].check.remote([keys[i] for i in idxs])
-            for sid, idxs in groups.items()
-        ]
-        mask = np.zeros(len(keys), dtype=bool)
-        for (sid, idxs), res in zip(groups.items(), ray.get(futs)):
-            mask[idxs] = res
-        return batch.filter(pa.array(mask))
-
-
-def filter_unseen(ds: rd.Dataset, state) -> rd.Dataset:
-    return ds.map_batches(SeenFilter(state.shards), batch_format="pyarrow")
-
-
 # ---- claim-based in-wave dedup (no shuffle) --------------------------------
 #
-# The dedup groupby above moves every candidate row through an all-to-all
-# hash shuffle each wave. The claim protocol removes it: whoever PRODUCES a
+# A dedup groupby would move every candidate row through an all-to-all
+# hash shuffle each wave. The claim protocol avoids it: whoever PRODUCES a
 # candidate in a distributed-planned wave (the fetch task emitting
 # children, the spill writer, the seeds pass) registers a first-wins claim —
 # canonical_url → min (parent_seq, ordinal) — on the same state shards that

@@ -9,7 +9,7 @@ hash-partitioned across actors like the URL-seen shards (state/shards.py).
 - **Load** is distributed: a ``map_batches`` pass over the prior crawl's
   raw output routes each block's validated rows to their shard in ONE
   batched RPC per (block, shard) — the driver never holds the index.
-- **Attach** is the SeenFilter pattern (stages/frontier_ops.py): a
+- **Attach** is the AdmitFrontier pattern (stages/frontier_ops.py): a
   pre-fetch ``map_batches`` stage adds ``prior_etag`` / ``prior_links``
   columns to frontier jobs via one batched RPC per shard per block. The
   fetch stage sends If-None-Match and, on 304, replays the prior links.

@@ -65,7 +65,13 @@ def group_indices_by_shard(keys: list[str], n_shards: int) -> dict[int, np.ndarr
 class StatePartition:
     """One partition of seen-set + host clocks: a plain object in the driver
     until ``ShardedState`` promotes it, then the body of a ``StateShard``
-    actor — one implementation in both places."""
+    actor — one implementation in both places.
+
+    ``fresh`` lists the keys this partition inserted since the last
+    ``take_fresh``: the batched check-and-update returns what was new (the
+    DRUM pattern), so a wave's seen part stores each key once, in the wave
+    that first marks it. It is transient like the claims: a snapshot leaves
+    it out and ``restore`` clears it."""
 
     def __init__(
         self, shard_id: int, bloom_bits: int = 1 << 20, fields: dict | None = None
@@ -92,6 +98,7 @@ class StatePartition:
         # planning, cleared at that wave's commit. Never checkpointed — a
         # resumed plan re-registers via the fallback claim pass.
         self.claims: dict[int, dict[str, tuple[int, int]]] = {}
+        self.fresh: list[str] = []
 
     # ---- membership (the Redis bloom analog) ----
     def check(self, keys: list[str]) -> list[bool]:
@@ -105,6 +112,7 @@ class StatePartition:
             if k not in self.seen:
                 self.seen.add(k)
                 self.bloom.add(k)
+                self.fresh.append(k)
         return len(self.seen)
 
     def check_and_add(self, keys: list[str]) -> list[bool]:
@@ -117,7 +125,14 @@ class StatePartition:
             else:
                 self.seen.add(k)
                 self.bloom.add(k)
+                self.fresh.append(k)
                 out.append(True)
+        return out
+
+    def take_fresh(self) -> list[str]:
+        """The keys inserted since the last call, in insertion order; clears
+        the list."""
+        out, self.fresh = self.fresh, []
         return out
 
     def seen_count(self) -> int:
@@ -200,6 +215,7 @@ class StatePartition:
         self.clocks = state["clocks"]
         self.sched = state.get("sched", {})
         self.lat = state.get("lat", {})
+        self.fresh = []
         self.bloom = BloomFilter(n_bits=self.bloom.n_bits)
         self.bloom.add_many(list(self.seen))
 
@@ -212,21 +228,23 @@ StateShard = ray.remote(num_cpus=0)(StatePartition)
 
 
 class ShardedState:
-    """The crawl's seen set, clocks, budgets, latency stats and claims,
-    hash-partitioned into ``n_shards`` ``StatePartition``s.
+    """The crawl's seen set, clocks, budgets, latency stats, claims and
+    fresh-key lists, hash-partitioned into ``n_shards`` ``StatePartition``s.
 
     The partitions start in the driver process as plain objects, so a crawl
     whose waves are all planned on the driver starts no actor. The first
     read of ``shards`` promotes them: one ``StateShard`` actor per
     partition, constructed with every field, after which the state lives only
     in the actors. The crawl reads ``shards`` when a Ray task first needs a
-    handle — the first distributed-planned wave, a resume replay, the
-    legacy shuffle path — and when its committed job count passes the
-    small-wave threshold (``promote``); pickling the state (map_batches
-    closures capture it) promotes too and ships only the handles, so a
-    task never works on a forked copy. Every method batches per shard (one
-    call per shard, never per key): a direct call before promotion, one
-    ``.remote`` per shard and one ``ray.get`` after."""
+    handle — the first distributed-planned wave or a resume replay — and
+    when its committed job count passes the small-wave threshold
+    (``promote``); pickling the state (map_batches closures capture it)
+    promotes too and ships only the handles, so a task never works on a
+    forked copy. Every method batches per shard (one call per shard, never
+    per key): a direct call before promotion, one ``.remote`` per shard and
+    one ``ray.get`` after. ``take_fresh`` gathers the keys every partition
+    inserted since its last call, whoever inserted them (the driver's
+    ``add`` or a task's ``AddSeen``): a wave's seen delta."""
 
     def __init__(self, n_shards: int, bloom_bits: int = 1 << 20):
         self.n_shards = n_shards
@@ -323,6 +341,9 @@ class ShardedState:
 
     def seen_count(self) -> int:
         return sum(self._each("seen_count"))
+
+    def take_fresh(self) -> list[str]:
+        return [k for part in self._each("take_fresh") for k in part]
 
     def claim_frontier(
         self, wave: int, keys: list[str], pseqs: list[int], ords: list[int]

@@ -144,12 +144,8 @@ def _ks_priority(job: dict) -> int:
     return 2 if "/gate" in job["url"] else (1 if "/flaky" in job["url"] else 0)
 
 
-@pytest.mark.parametrize("planner", ["local", "distributed", "distributed-shuffle"])
-def test_kitchen_sink_feature_interactions(ray_session, tmp_path, planner, monkeypatch):
-    if planner == "distributed-shuffle":
-        # legacy dedup path: groupby shuffle + separate seen filter (the
-        # claim path is the default; both must stay oracle-exact)
-        monkeypatch.setenv("CCRAY_DEDUP", "shuffle")
+@pytest.mark.parametrize("planner", ["local", "distributed"])
+def test_kitchen_sink_feature_interactions(ray_session, tmp_path, planner):
     """Retries + cookie gate + redirects + robots + dead link + job_limit +
     priority + lifecycle hooks + politeness, all in one crawl, on both
     planner paths — exact oracle parity including clocks and counters."""

@@ -50,6 +50,23 @@ def redirect_web():
     return web_table(pages), [page_url("p0")]
 
 
+def redirect_repeat_web():
+    """Redirects onto keys that are seen already: a and b both redirect to t
+    (one key fetched twice in a wave), d redirects to the seed p0 and e to
+    c (keys marked in earlier waves)."""
+    pages = [
+        FakePage(name="p0", links=["a", "b", "c"]),
+        FakePage(name="a", redirect="t"),
+        FakePage(name="b", redirect="t"),
+        FakePage(name="t", links=["x"]),
+        FakePage(name="x"),
+        FakePage(name="c", links=["d", "e"]),
+        FakePage(name="d", redirect="p0"),
+        FakePage(name="e", redirect="c"),
+    ]
+    return web_table(pages), [page_url("p0")]
+
+
 def query_web():
     """Query-string twins (crawl_job_spec.rb:133-142)."""
     pages = [
@@ -217,7 +234,10 @@ def vip_gate_web():
 def seen_set(handle) -> set[str]:
     """Test helper: collect the committed seen set into a Python set (the
     library returns a Dataset so the set never materializes driver-side in
-    production code)."""
+    production code). Fails if the Dataset repeats a key."""
     df = handle.seen_urls().to_pandas()
     # Ray's to_pandas drops the schema on empty datasets
-    return set(df["canonical_url"]) if "canonical_url" in df.columns else set()
+    urls = list(df["canonical_url"]) if "canonical_url" in df.columns else []
+    out = set(urls)
+    assert len(out) == len(urls), f"seen_urls() holds {len(urls)} rows for {len(out)} keys"
+    return out
