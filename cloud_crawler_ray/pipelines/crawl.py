@@ -15,20 +15,23 @@ Wave lifecycle (SURVEY §3.4):
       → commit: mark the seen delta in the shards, write the keys it
                 newly marked as seen/wave=d, clocks.advance, lineage marker
 
-A wave of more than ``small_wave_threshold`` candidate rows runs these
-steps as one streaming Dataset pipeline, its fetch a ``map_batches`` stage.
-A smaller wave is planned as in-process Arrow ops on the driver
-(``_plan_wave_local``) and fetched from the job table the driver holds:
-in-process when it has at most ``driver_fetch_threshold`` jobs, else by
-plain Ray tasks over contiguous slices of that table (``_fetch_slice``),
-each writing its own raw parts. ``fetch_mode="actors"`` fetches every wave
-through a ``map_batches`` actor pool. The crawl state (seen set, clocks,
-budgets, claims) starts in the driver too and moves into ``StateShard``
-actors only when a Ray task first needs it: the first distributed-planned
-wave, a resume replay, or once the committed job count passes the
-threshold (state/shards.py ``ShardedState``). Only
-distributed-planned waves register next-wave claims; a driver frontier
-handed to the distributed planner is first-wins deduped on the driver.
+Two planners make a wave's slotted job table. A wave of at most
+``small_wave_threshold`` candidate rows is planned as in-process Arrow ops
+on the driver (``_plan_wave_local``); a larger one by the distributed
+planner, a Ray Data pipeline (claims, admission, seq sort, budget and trap
+gates, spill, ``assign_slots``) whose materialized output is collected to
+the driver. From there every wave takes one path: the driver writes its
+frontier part and fetches the table in-process when it has at most
+``driver_fetch_threshold`` jobs, else by plain Ray tasks over contiguous
+slices of it (``_fetch_slice``, host lanes on a real network), each
+writing its own raw parts; the driver then marks the seen delta and
+commits. The crawl state (seen set, clocks, budgets, claims) starts in the
+driver and moves into ``StateShard`` actors only when a Ray task first
+needs it: the first distributed-planned wave, a resume replay, or once the
+committed job count passes the threshold (state/shards.py
+``ShardedState``). Only distributed-planned waves register next-wave
+claims, from their fetch output; a driver frontier handed to the
+distributed planner is first-wins deduped on the driver.
 
 Durability/commit protocol (north_rule resumability): per wave the engine
 writes (1) the slotted frontier, (2) the raw fetch output, (3) one seen
@@ -231,7 +234,10 @@ class CrawlHandle:
         ds = read_table(
             os.path.join(self.out_dir, "frontier"), columns=["wave", "seq", "url"]
         )
-        return ds.sort("seq")
+        # each wave's frontier is one part in seq order and seq ranges rise
+        # with the wave, so the parts read in path order are crawl order
+        ds.context.execution_options.preserve_order = True
+        return ds
 
     def wave_metrics(self) -> "pd.DataFrame":
         """Per-wave telemetry from the committed lineage markers (jobs, raw
@@ -444,8 +450,7 @@ def _seeds_frontier(seeds: list[str]) -> pa.Table:
 
 
 def _plan_wave_local(
-    cand: pa.Table, state, chain_idx: dict, delay_ms: int,
-    base_seq: int, wave: int, spec,
+    cand: pa.Table, state, chain_idx: dict, delay_ms: int, base_seq: int, spec,
     host_delays: dict[str, int] | None = None,
 ) -> tuple[pa.Table, pa.Table]:
     """Driver-side wave planning for small waves (≤ small_wave_threshold).
@@ -544,7 +549,6 @@ def _plan_wave_local(
         cand, clocks, chain_idx, delay_ms, host_delays,
         conns=spec.host_connections,
     )
-    cand = cand.append_column("wave", pa.array([wave] * n, pa.int32()))
     return cand, spill
 
 
@@ -606,8 +610,8 @@ def fire_hook(fn, ctx: dict, counters: dict[str, int]) -> None:
 
 class AddSeen:
     """map_batches callable that marks canonical URLs in the shards — the
-    distributed commit of a wave's seen delta. Idempotent: a retried batch
-    re-marks nothing, and each shard records a key as fresh only once."""
+    resume replay of committed seen parts into fresh shards. Idempotent: a
+    retried batch re-marks nothing."""
 
     def __init__(self, shards: list):
         self.shards = shards
@@ -660,9 +664,7 @@ def crawl(
     out_dir: str,
     *,
     n_shards: int = 4,
-    fetch_concurrency: int | tuple = 2,
     fetch_batch_size: int = 512,
-    fetch_mode: str = "tasks",
     small_wave_threshold: int = 100_000,
     driver_fetch_threshold: int = 256,
     max_waves: int | None = None,
@@ -675,24 +677,20 @@ def crawl(
     The caller owns the Ray session. ``state`` may be injected for tests;
     otherwise shards are created and torn down here.
 
-    fetch_mode: "tasks" (default) runs fetch+extract as stateless tasks with
-    read-only state cached per worker process (no per-wave pool spawn);
-    "actors" uses a map_batches actor pool for every wave (required if the
-    fetch stage ever grows mutable per-connection state). small_wave_threshold:
-    waves at or below this many candidate rows are planned driver-side
-    (semantically identical) — 0 forces the fully distributed planner. The
+    Planners: a wave of at most small_wave_threshold candidate rows is
+    planned on the driver, a larger one by the distributed (Ray Data)
+    planner — semantically identical; 0 forces the distributed planner. The
     crawl state stays in the driver until the first distributed-planned wave
     (or a resume replay, or a committed job count above the threshold) moves
     it into shard actors (ShardedState).
 
-    Fetch routes in task mode: a driver-planned wave of at most
+    Fetch, whichever planner made the wave: a wave of at most
     driver_fetch_threshold jobs is fetched in the driver process; a larger
     one by plain Ray tasks over k = min(jobs, max(CPUs, ceil(jobs /
     fetch_batch_size))) contiguous slices of its job table (on a real
     network, k host lanes instead, so a host's jobs share one process and
-    its wall-clock spacing); a distributed-planned wave by a map_batches
-    stage of its Dataset. fetch_batch_size bounds the rows of one fetch
-    call on every route except the in-process one.
+    its wall-clock spacing), at most fetch_batch_size rows per fetch call.
+    Fetch state is read-only and cached per worker process across waves.
 
     prior_dir: a previous crawl's out_dir → incremental recrawl. The prior
     crawl's validated (canonical_url, etag, admitted links) load into
@@ -703,8 +701,6 @@ def crawl(
     document fills from the prior documents parquet at read time. Resume of
     a recrawl recovers prior_dir from the crawl's meta.json.
     """
-    if fetch_mode not in ("tasks", "actors"):
-        raise ValueError(f"fetch_mode must be 'tasks' or 'actors', got {fetch_mode!r}")
     if resume and prior_dir is None:
         meta_path = os.path.join(out_dir, "meta.json")
         if os.path.exists(meta_path):
@@ -721,9 +717,7 @@ def crawl(
             prior.load_from_raw(prior_dir)
         return _crawl_inner(
             web, seeds, spec, out_dir, state,
-            fetch_concurrency=fetch_concurrency,
             fetch_batch_size=fetch_batch_size,
-            fetch_mode=fetch_mode,
             small_wave_threshold=small_wave_threshold,
             driver_fetch_threshold=driver_fetch_threshold,
             max_waves=max_waves, resume=resume,
@@ -748,25 +742,26 @@ def _collect_if_small(ds: rd.Dataset, threshold: int) -> tuple[pa.Table | None, 
     if threshold <= 0:
         return None, ds
     ds = ds.materialize()
-    n = ds.count()
-    if n <= threshold:
-        refs = ds.to_arrow_refs()
-        tables = [t for t in ray.get(refs) if t.num_rows]
-        if not tables:
-            return pa.table({}), ds
-        return pa.concat_tables(tables), ds
+    if ds.count() <= threshold:
+        return _driver_table(ds), ds
     return None, ds
 
 
-def _passthrough_part_writer(dirpath: str, project=None):
-    """map_batches stage that durably writes each block to *dirpath* as a
-    parquet part and passes the block on (optionally projected) — fusing a
-    durable write into the surrounding execution instead of paying a separate
-    per-wave write execution (~0.3-1 s floor each on Ray 2.49). Part names
-    derive from the block's min seq (globally unique per wave, disjoint
-    across blocks), so a Ray task retry overwrites the same file — the write
-    is idempotent under at-least-once execution, and uncommitted wave dirs
-    are purged wholesale on resume regardless."""
+def _driver_table(ds: rd.Dataset) -> pa.Table:
+    """The rows of a MATERIALIZED Dataset as one driver-side table (no
+    columns when every block is empty). to_arrow_refs() on a lazy Dataset
+    executes it and then cancels tasks, and Ray 2.49 can abort the driver
+    when it cancels a task that is completing."""
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(tables) if tables else pa.table({})
+
+
+def _passthrough_part_writer(dirpath: str):
+    """Writer that durably writes each block to *dirpath* as a parquet part
+    and passes it on. Part names derive from the block's min seq (globally
+    unique per wave, disjoint across blocks), so a Ray task retry overwrites
+    the same file — the write is idempotent under at-least-once execution,
+    and uncommitted wave dirs are purged wholesale on resume regardless."""
     import pyarrow.parquet as pq
 
     def write(t: pa.Table) -> pa.Table:
@@ -783,7 +778,7 @@ def _passthrough_part_writer(dirpath: str, project=None):
             else:
                 name = f"part-{lo:012d}.parquet"
             pq.write_table(t, os.path.join(dirpath, name))
-        return t if project is None else project(t)
+        return t
 
     return write
 
@@ -791,7 +786,7 @@ def _passthrough_part_writer(dirpath: str, project=None):
 def _wave_slices(
     tbl: pa.Table, k: int, by_host: bool = False
 ) -> tuple[pa.Table, list[tuple[int, int]]]:
-    """Split a driver-planned wave's seq-ordered job table into the [lo, hi)
+    """Split a wave's seq-ordered job table into the [lo, hi)
     row ranges of its fetch tasks: *k* contiguous ranges of near-equal size.
     With *by_host* (a real network, whose wall-clock spacing holds within
     one process) the rows are first regrouped, seq order kept, into *k*
@@ -812,16 +807,20 @@ def _wave_slices(
 
 @ray.remote
 def _fetch_slice(fetch_fn, tbl: pa.Table, lo: int, hi: int, raw_dir: str,
-                 batch_size: int, waits: dict[str, float]) -> dict[str, float]:
-    """One fetch task of a driver-planned wave: rows [lo, hi) of the wave's
-    job table, at most *batch_size* per fetch call, each call's output
-    written as a raw part (named from its min seq, so a retried task
-    overwrites its own parts). Takes and returns the per-host wall-clock
-    waits of a real network (empty for a synthetic one)."""
+                 batch_size: int, waits: dict[str, float],
+                 claim: ClaimChildren | None = None) -> dict[str, float]:
+    """One fetch task of a wave: rows [lo, hi) of the wave's job table, at
+    most *batch_size* per fetch call, each call's output written as a raw
+    part (named from its min seq, so a retried task overwrites its own
+    parts) after *claim*, if given, registered its next-wave claims (an
+    idempotent min-merge, so a retry re-registers nothing new). Takes and
+    returns the per-host wall-clock waits of a real network (empty for a
+    synthetic one)."""
     hold_wall_waits(waits)
     write = _passthrough_part_writer(raw_dir)
     for s in range(lo, hi, batch_size):
-        write(fetch_fn(tbl.slice(s, min(batch_size, hi - s))))
+        part = fetch_fn(tbl.slice(s, min(batch_size, hi - s)))
+        write(part if claim is None else claim(part))
     return wall_waits()
 
 
@@ -864,29 +863,9 @@ def _spill_split_writer(
     return split
 
 
-def _seen_projection(t: pa.Table) -> pa.Table:
-    """Raw fetch block → its share of the wave's seen delta (distinct within
-    the block), self-contained: the job canonicals (every attempted URL is
-    marked, fetched or not — bloom mark-at-commit semantics) plus the
-    fetched hops' canonicals (redirect targets, which may be seen already:
-    ``AddSeen`` keeps only the new ones, and the driver writes those).
-    Deriving BOTH from the raw block means the seen mark needs no second
-    branch over the slotted frontier, which lets the whole wave body
-    (slots → frontier write → fetch → raw write → seen mark) run as ONE
-    Ray execution. ``canonical_url(job_url)`` equals the frontier's
-    ``canonical_url`` by construction (_seeds_frontier / explode_children
-    both compute it with the same function over the same string)."""
-    from ..canon import canonical_urls
-
-    fetched = t.filter(pc.field("fetched")).column("canonical_url").to_pylist()
-    jobs = canonical_urls(list(dict.fromkeys(t.column("job_url").to_pylist())))
-    vals = list(dict.fromkeys(fetched + jobs))
-    return pa.table({"canonical_url": pa.array(vals, pa.string())})
-
-
 def _crawl_inner(
     web, seeds, spec, out_dir, state,
-    *, fetch_concurrency, fetch_batch_size, fetch_mode,
+    *, fetch_batch_size,
     small_wave_threshold, driver_fetch_threshold, max_waves, resume,
     prior=None, prior_dir=None,
 ) -> CrawlHandle:
@@ -1026,9 +1005,9 @@ def _crawl_inner(
         )
 
     # claim-based in-wave dedup. claims_ready: wave W's candidates were
-    # claimed by wave W-1's distributed execution, or deduped on the driver
-    # after a driver-planned wave — False for the first planned wave (seeds,
-    # resume)
+    # claimed by the fetch of distributed-planned wave W-1, or deduped on
+    # the driver after a driver-planned wave — False for the first planned
+    # wave (seeds, resume)
     claims_ready = False
     # keys marked before the first wave (a resume replay, an injected
     # state) belong to no wave's seen part
@@ -1051,22 +1030,15 @@ def _crawl_inner(
             if fr_tbl.num_rows == 0:
                 break
             fm_tbl, spill_tbl = _plan_wave_local(
-                fr_tbl, state, chain_idx, delay_ms, next_seq, wave, spec,
+                fr_tbl, state, chain_idx, delay_ms, next_seq, spec,
                 host_delays=host_delays,
             )
-            n_jobs = fm_tbl.num_rows
-            if n_jobs == 0:
+            if fm_tbl.num_rows == 0:
                 break
             if spill_tbl.num_rows:
                 spilled = True
                 os.makedirs(spill_dir, exist_ok=True)
                 pq.write_table(spill_tbl, os.path.join(spill_dir, "part-0.parquet"))
-            os.makedirs(fdir, exist_ok=True)
-            pq.write_table(fm_tbl, os.path.join(fdir, "part-0.parquet"))
-            # conditional-GET columns attach AFTER the frontier write (the
-            # durable frontier keeps its lean schema; prior_links would
-            # bloat it) and the same table feeds the fetch
-            fetch_tbl = prior_attach(fm_tbl) if prior_attach is not None else fm_tbl
         else:
             # the plan's tasks call the shards: move the state into its
             # actors now (no-op after the first distributed wave)
@@ -1128,7 +1100,7 @@ def _crawl_inner(
             if spec.job_limit is not None and n_jobs > spec.job_limit:
                 # cap the wave at job_limit; the split writer spills the
                 # sorted remainder and forwards the head in one pass, fused
-                # into the wave execution (no separate tail-write execution)
+                # into the plan's execution (no separate tail-write execution)
                 spilled = True
                 f = f.map_batches(
                     _spill_split_writer(
@@ -1137,41 +1109,26 @@ def _crawl_inner(
                     ),
                     batch_format="pyarrow",
                 )
-                n_jobs = spec.job_limit
             f = assign_slots(
                 f, state, chain_idx_ref, delay_ms,
                 host_delays_ref=host_delays_ref,
                 adaptive_pct=spec.adaptive_delay_pct,
                 conns=spec.host_connections,
             )
-            w = wave
-            f = f.map_batches(
-                lambda t, w=w: (
-                    t.drop_columns(["neg_prio"]) if "neg_prio" in t.column_names else t
-                ).append_column("wave", pa.array([w] * t.num_rows, pa.int32())),
-                batch_format="pyarrow",
-            )
-            # durable frontier parts are written passthrough inside the wave
-            # execution; the seen delta is derived from the raw fetch blocks
-            # alone (_seen_projection), so NOTHING else consumes this chain —
-            # the whole wave body (slots → frontier write → fetch → raw write
-            # → seen commit) is ONE Ray execution after the plan sort
-            f = f.map_batches(
-                _passthrough_part_writer(fdir), batch_format="pyarrow", batch_size=None
-            )
-            # split the slotted frontier so the fetch pool gets even blocks —
-            # the groupby upstream can leave a hot shard as one huge block,
-            # which would serialize fetch into a single task
-            fetch_in = f.repartition(
-                max(1, min(math.ceil(n_jobs / fetch_batch_size), ncpus * 2))
-            )
-            if prior_attach is not None:
-                # conditional-GET columns: one batched RPC per prior shard
-                # per block (the AdmitFrontier pattern), after the frontier
-                # parts are written so the durable schema stays lean
-                fetch_in = fetch_in.map_batches(
-                    prior_attach, batch_format="pyarrow"
-                )
+            # the plan ends on the driver: its slotted job table, seq-sorted
+            fm_tbl = _driver_table(f.materialize()).sort_by("seq")
+            if "neg_prio" in fm_tbl.column_names:
+                fm_tbl = fm_tbl.drop_columns(["neg_prio"])
+
+        # --- from here on one path, whichever planner made the wave ---
+        n_jobs = fm_tbl.num_rows
+        fm_tbl = fm_tbl.append_column("wave", pa.array([wave] * n_jobs, pa.int32()))
+        os.makedirs(fdir, exist_ok=True)
+        pq.write_table(fm_tbl, os.path.join(fdir, "part-0.parquet"))
+        # conditional-GET columns attach AFTER the frontier write (the
+        # durable frontier keeps its lean schema; prior_links would bloat
+        # it) and the same table feeds the fetch
+        fetch_tbl = prior_attach(fm_tbl) if prior_attach is not None else fm_tbl
 
         # pre-batch hook: batch is planned (post dedup/seen), fetch not begun
         fire_hook(
@@ -1181,27 +1138,30 @@ def _crawl_inner(
             hook_counters,
         )
 
-        # --- fetch + extract (single consumption → durable raw) ---
-        # a driver-planned wave of at most driver_fetch_threshold jobs runs
-        # in-process (a task round trip costs more than it parallelizes) —
-        # same FetchExtract, same output files; a larger one runs as plain
-        # Ray tasks over slices of its job table; distributed-planned waves
-        # and actor mode run as one Ray Data execution
-        if (
-            local
-            and fetch_mode == "tasks"
-            and n_jobs <= driver_fetch_threshold
-        ):
+        # --- fetch + extract → durable raw parts ---
+        # a distributed-planned wave registers its children's next-wave
+        # first-wins claims from each fetched part, so the next distributed
+        # plan needs no dedup shuffle. A driver-planned wave registers none:
+        # its successor is planned on the driver, or first-wins deduped
+        # there before a distributed plan
+        claim = (
+            ClaimChildren(state.shards, wave + 1)
+            if spec.follow_links and not local else None
+        )
+        if n_jobs <= driver_fetch_threshold:
+            # in-process: a task round trip costs more than it parallelizes
             if driver_fx is None:
                 driver_fx = FetchExtract(web_ref, spec, wave, cookie_hdrs)
             driver_fx.wave = wave
             driver_fx.cookie_hdrs = cookie_hdrs
-            os.makedirs(raw_dir, exist_ok=True)
             out_tbl = driver_fx(fetch_tbl)
+            if claim is not None:
+                claim(out_tbl)
+            os.makedirs(raw_dir, exist_ok=True)
             pq.write_table(out_tbl, os.path.join(raw_dir, "part-0.parquet"))
-        elif local and fetch_mode == "tasks":
-            # at least one task per CPU, at most fetch_batch_size rows per
-            # fetch call; the commit below reads the parts from raw_dir
+        else:
+            # plain Ray tasks over slices of the job table: at least one
+            # per CPU, at most fetch_batch_size rows per fetch call
             k = min(n_jobs, max(ncpus, math.ceil(n_jobs / fetch_batch_size)))
             tbl, bounds = _wave_slices(
                 fetch_tbl, k, by_host=bool(getattr(web, "realtime", False))
@@ -1211,92 +1171,35 @@ def _crawl_inner(
             waits = wall_waits()
             for w in ray.get([
                 _fetch_slice.remote(
-                    fn_ref, tbl_ref, lo, hi, raw_dir, fetch_batch_size, waits
+                    fn_ref, tbl_ref, lo, hi, raw_dir, fetch_batch_size, waits, claim
                 )
                 for lo, hi in bounds
             ]):
                 hold_wall_waits(w)
-        else:
-            if local:  # actor mode
-                fetch_in = rd.from_arrow(fetch_tbl)
-                nblocks = min(math.ceil(n_jobs / fetch_batch_size), ncpus * 2)
-                if nblocks > 1:
-                    fetch_in = fetch_in.repartition(nblocks)
-            if fetch_mode == "tasks":
-                raw = fetch_in.map_batches(
-                    make_fetch_fn(web_ref, spec, wave, crawl_id, cookie_hdrs),
-                    batch_format="pyarrow",
-                    batch_size=fetch_batch_size,
-                )
-            else:
-                raw = fetch_in.map_batches(
-                    FetchExtract,
-                    fn_constructor_args=(web_ref, spec, wave, cookie_hdrs),
-                    batch_format="pyarrow",
-                    batch_size=fetch_batch_size,
-                    concurrency=fetch_concurrency,
-                )
-            if spec.follow_links and not local:
-                # next-wave first-wins claims registered inside this wave's
-                # execution (its completion is the planning barrier) — the
-                # wave after this one needs no dedup shuffle. A local wave
-                # registers none: its successor is planned on the driver,
-                # or first-wins deduped there before a distributed plan
-                raw = raw.map_batches(
-                    ClaimChildren(state.shards, wave + 1), batch_format="pyarrow"
-                )
-            if not local and spec.follow_links:
-                # fuse the raw write with the seen mark: the fetch stage
-                # writes its durable raw parts in-task (passthrough writer)
-                # and forwards the wave's seen delta — job canonicals plus
-                # fetched canonicals, both derivable from the raw block
-                # (_seen_projection) — to an idempotent shard mark. With
-                # the slotted frontier feeding fetch lazily, this single
-                # consumption executes the ENTIRE wave body (slots →
-                # frontier parts → fetch → raw parts → seen mark) as one Ray
-                # execution; the commit below writes the keys it marked.
-                # materialize, not to_arrow_refs/limit: Ray 2.49 can abort
-                # the driver when it cancels a task that is completing
-                raw.map_batches(
-                    _passthrough_part_writer(raw_dir, project=_seen_projection),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                ).map_batches(AddSeen(state.shards), batch_format="pyarrow").materialize()
-            else:
-                raw.write_parquet(raw_dir)
 
         # --- seen delta (job urls + fetched page urls) + commit ---
         # curl mode marks nothing (no bloom in BatchCurlJob, batch_curl_job.rb)
         if spec.follow_links:
-            if local:
-                raw_meta = pq.read_table(raw_dir, columns=["canonical_url", "fetched"])
-                fetched_canon = raw_meta.filter(raw_meta.column("fetched")).column(
-                    "canonical_url"
-                ).to_pylist()
-                state.add(
-                    list(set(fm_tbl.column("canonical_url").to_pylist()) | set(fetched_canon))
-                )
-            # the wave's one seen part: the keys its mark (above, or inside
-            # the fetch execution) inserted — each key once, in the first
-            # wave that marks it
+            raw_meta = pq.read_table(raw_dir, columns=["canonical_url", "fetched"])
+            fetched_canon = raw_meta.filter(raw_meta.column("fetched")).column(
+                "canonical_url"
+            ).to_pylist()
+            state.add(
+                list(set(fm_tbl.column("canonical_url").to_pylist()) | set(fetched_canon))
+            )
+            # the wave's one seen part: the keys the mark inserted — each
+            # key once, in the first wave that marks it
             os.makedirs(seen_dir, exist_ok=True)
             pq.write_table(
                 pa.table({"canonical_url": pa.array(state.take_fresh(), pa.string())}),
                 os.path.join(seen_dir, "part-0.parquet"),
             )
-        # the per-host commit: a distributed wave reads a few small columns
-        # of its frontier driver-side (no Ray execution)
-        wave_tbl = fm_tbl if local else pq.read_table(
-            fdir,
-            columns=["host", "job_end_ms", "fetch_time_ms"]
-            + (["url"] if spec.trap_guard is not None else []),
-        )
-        updates, sched_updates, lat_updates = _host_commit(wave_tbl)
+        updates, sched_updates, lat_updates = _host_commit(fm_tbl)
         trap_updates: dict[str, int] = {}
         if spec.trap_guard is not None:
             from ..canon import trap_keys_of
 
-            trap_updates = dict(Counter(trap_keys_of(wave_tbl.column("url").to_pylist())))
+            trap_updates = dict(Counter(trap_keys_of(fm_tbl.column("url").to_pylist())))
         state.advance_clocks(updates)
         # commit the wave's scheduled counts (mark-after-commit, like the
         # clocks — an uncommitted wave replans identically): per-host budget

@@ -5,12 +5,14 @@ merge (last write per cookie name wins, http.rb:196), emit a ``Cookie``
 request header, and drop expired cookies (cookie_store.rb:45-56). Gated by
 the ``accept_cookies`` option (dsl_front_end.rb:52).
 
-Distribution note: a cookie jar is genuinely MUTABLE cross-request state, so
-under Ray it must live in a stateful fetcher actor with host-affinity
-(fetch_mode="actors" + the groupby(host) politeness partitioning guarantees
-one actor sees all of a host's requests in a wave). The default task-mode
-fetcher keeps jars per worker process — fine for the synthetic web, which
-sets no cookies; enable actor mode for cookie-dependent crawls.
+Distribution note: a cookie jar is mutable cross-request state, so it is
+made wave-synchronous, like the seen set. A request in wave N carries the
+jar committed by waves < N: at each wave's commit the driver folds the
+wave's Set-Cookie responses, in (seq, chain position) order, into one
+``Cookie`` header per host (``merge_committed_header``), persists it in the
+lineage marker and passes it to the next wave's fetchers as read-only
+``cookie_hdrs``. Fetch is thus deterministic wherever it runs, and
+cookie-dependent crawls need no stateful fetcher.
 """
 
 from __future__ import annotations

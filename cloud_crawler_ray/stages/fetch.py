@@ -1,18 +1,21 @@
-"""Fetch + extract — the stateful actor-pool stage (parse-extract fusion).
+"""Fetch + extract — the crawl's fetch stage (parse-extract fusion).
 
-One callable class passed to ``map_batches(FetchExtract, concurrency=N,
-batch_size=B)``: per-actor state (the synthetic-web index, robots parser
-cache, compiled skip patterns, link-admission logic) is built ONCE in
-``__init__`` from broadcast object refs (``ray.put`` once on the driver);
-``__call__`` processes an Arrow batch of frontier jobs and emits one row per
-kept page — metadata + interleaved spans + already-admitted child links.
-Page bodies never cross a stage boundary (SURVEY §1.1: the reference never
-serializes the DOM either).
+``FetchExtract`` is one callable class. Its state (the synthetic-web index,
+robots parser cache, compiled skip patterns, link-admission logic) is built
+ONCE in ``__init__`` from broadcast object refs (``ray.put`` once on the
+driver) and is read-only, so one instance per process serves every wave of
+a crawl: the driver keeps one for the waves it fetches in-process, and each
+Ray worker keeps one (``make_fetch_fn``) for the fetch tasks of larger
+waves. ``__call__`` processes an Arrow batch of frontier jobs and emits one
+row per kept page — metadata + interleaved spans + already-admitted child
+links. Page bodies never cross a stage boundary (SURVEY §1.1: the reference
+never serializes the DOM either).
 
-Reference analogs: HTTP fetch/redirect loop http.rb:68-91,155-169 (per-actor
-connection/cookie caches http.rb:219-240, cookie_store.rb → here the web
-index + robots cache); process_job batch_crawl_job.rb:75-137 (page blocks,
-links_to_follow, child-job construction).
+Reference analogs: HTTP fetch/redirect loop http.rb:68-91,155-169
+(connection/cookie caches http.rb:219-240, cookie_store.rb → here the web
+index + robots cache; cookie jars are committed per wave by the driver and
+passed in as ``cookie_hdrs``); process_job batch_crawl_job.rb:75-137 (page
+blocks, links_to_follow, child-job construction).
 
 Politeness is enforced via the precomputed virtual fetch slots (the
 ``fetch_time_ms`` column assigned by stages/politeness.py): the serial
@@ -81,8 +84,8 @@ FETCH_OUT_SCHEMA = pa.schema(
 
 
 # wall-clock politeness map for real-socket nets (stages/httpnet.py): host →
-# earliest next fetch start, per worker process (shared across waves and
-# across the cached/actor fetchers in this process)
+# earliest next fetch start, per process (shared across waves and across
+# the fetchers in this process)
 _NEXT_OK_WALL: dict[str, float] = {}
 
 
@@ -117,7 +120,7 @@ class FetchExtract:
         self._hook_res = [(re.compile(p), fn) for p, fn in spec.on_pages_like]
         self.cookies = CookieStore() if spec.accept_cookies else None
         # wave-committed per-host Cookie headers (set by the driver per wave;
-        # read-only here, so fetch stays deterministic in task mode too)
+        # read-only here, so fetch is deterministic wherever it runs)
         self.cookie_hdrs: dict[str, str] = cookie_hdrs or {}
         # real-socket backend (stages/httpnet.py HttpNet): the net fetches
         # over the wire via its own chain() and politeness is enforced on
@@ -173,10 +176,9 @@ class FetchExtract:
                     # worker), and the per-process next-allowed map keyed by
                     # host enforces delay between a fetch END and the next
                     # same-host START, whatever the real response times do.
-                    # Across driver-planned waves the driver carries each
-                    # host's remaining wait to the next wave's fetch tasks
-                    # (wall_waits / hold_wall_waits); a distributed-planned
-                    # wave is spaced by its planning barrier only.
+                    # Across waves the driver carries each host's remaining
+                    # wait to the next wave's fetch tasks (wall_waits /
+                    # hold_wall_waits).
                     wait = _NEXT_OK_WALL.get(host, 0.0) - time.monotonic()
                     if wait > 0:
                         time.sleep(wait)
@@ -305,14 +307,13 @@ class FetchExtract:
         return list(counters), list(counters.values())
 
 
-# Per-worker-process cache for task-mode fetch. The fetch state (web index,
-# robots parsers, compiled patterns) is READ-ONLY, so it can live in reused
-# Ray worker processes instead of a dedicated actor pool: the first batch a
-# worker sees builds the state, every later batch (across ALL waves of the
-# same crawl) reuses it. This removes the per-wave actor-pool spawn cost of
-# an iterative crawl. Genuinely mutable per-connection state (cookies, live
-# sockets — http.rb:219-240, cookie_store.rb) would require actor mode
-# (fetch_mode="actors"), which remains available and tested.
+# Per-worker-process cache for the fetch tasks. The fetch state (web index,
+# robots parsers, compiled patterns) is READ-ONLY, so it lives in reused Ray
+# worker processes: the first batch a worker sees builds the state, every
+# later batch (across ALL waves of the same crawl) reuses it, with no
+# per-wave actor-pool spawn. Cookie jars, the one mutable per-host state
+# (http.rb:219-240, cookie_store.rb), are wave-committed on the driver and
+# arrive per wave as cookie_hdrs.
 _PROC_CACHE: dict[str, FetchExtract] = {}
 
 

@@ -133,8 +133,8 @@ def _claim_to_shards(shards, wave: int, keys: list, pseqs, ords) -> None:
 
 
 class ClaimChildren:
-    """map_batches passthrough over raw fetch blocks: registers next-wave
-    claims for every admitted child (canonical, parent seq, ordinal)."""
+    """Passthrough over raw fetch parts: registers next-wave claims for
+    every admitted child (canonical, parent seq, ordinal)."""
 
     def __init__(self, shards: list, next_wave: int):
         self.shards = shards

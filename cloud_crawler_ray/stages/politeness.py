@@ -17,8 +17,8 @@ budget.
 
 Skew note: a hot host concentrates rows in one group here, but slot
 assignment is a vectorized cumsum (O(n) numpy); the expensive fetch+extract
-stage runs *afterwards* as plain ``map_batches`` over whatever block split
-the executor chooses, so host skew does not serialize real work. At real
+runs *afterwards* as tasks over contiguous seq slices of the wave's job
+table, so host skew does not serialize real work. At real
 network scale the fetcher sleeps until its slot; throughput on a hot host is
 then bounded by the politeness budget itself, which no scheduler can beat.
 """

@@ -9,9 +9,9 @@ hash-partitioned across actors like the URL-seen shards (state/shards.py).
 - **Load** is distributed: a ``map_batches`` pass over the prior crawl's
   raw output routes each block's validated rows to their shard in ONE
   batched RPC per (block, shard) — the driver never holds the index.
-- **Attach** is the AdmitFrontier pattern (stages/frontier_ops.py): a
-  pre-fetch ``map_batches`` stage adds ``prior_etag`` / ``prior_links``
-  columns to frontier jobs via one batched RPC per shard per block. The
+- **Attach** is the AdmitFrontier pattern (stages/frontier_ops.py): before
+  each wave's fetch the driver adds ``prior_etag`` / ``prior_links``
+  columns to the wave's job table via one batched RPC per shard. The
   fetch stage sends If-None-Match and, on 304, replays the prior links.
 - Document spans are NOT loaded into actor memory (they are the corpus);
   a 304's document is filled from the prior documents parquet by an
@@ -93,10 +93,9 @@ class _PriorLoader:
 
 
 class PriorAttach:
-    """Pre-fetch map_batches stage: append ``prior_etag`` (string) and
-    ``prior_links`` (list<string>, null when no prior) columns to frontier
-    job rows — one batched RPC per shard per block. Also callable on a
-    plain Arrow table for the driver-side planner path."""
+    """Pre-fetch step: append ``prior_etag`` (string) and ``prior_links``
+    (list<string>, null when no prior) columns to a wave's job table — one
+    batched RPC per shard."""
 
     def __init__(self, shards: list):
         self.shards = shards

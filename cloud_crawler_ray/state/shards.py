@@ -243,8 +243,7 @@ class ShardedState:
     forked copy. Every method batches per shard (one call per shard, never
     per key): a direct call before promotion, one ``.remote`` per shard and
     one ``ray.get`` after. ``take_fresh`` gathers the keys every partition
-    inserted since its last call, whoever inserted them (the driver's
-    ``add`` or a task's ``AddSeen``): a wave's seen delta."""
+    inserted since its last call: after a wave's ``add``, its seen delta."""
 
     def __init__(self, n_shards: int, bloom_bits: int = 1 << 20):
         self.n_shards = n_shards

@@ -86,16 +86,6 @@ def test_distributed_planner_matches(ray_session, tmp_path):
     assert_parity(res, handle)
 
 
-def test_actor_fetch_mode_matches(ray_session, tmp_path):
-    web, seeds = webs.small_dag()
-    spec = CrawlSpec()
-    res = crawl_oracle(web, seeds, spec)
-    handle = crawl(
-        web, seeds, spec, str(tmp_path / "o2"), fetch_mode="actors", fetch_concurrency=2
-    )
-    assert_parity(res, handle)
-
-
 def test_resume_distributed_path(ray_session, tmp_path):
     web, seeds = webs.multi_host_web()
     spec = CrawlSpec(delay=0.5)

@@ -1,7 +1,8 @@
 """Cookie round-trip end-to-end: the jar built from Set-Cookie responses is
 emitted as the Cookie request header (http.rb:196), with wave-commit
 semantics (requests in wave N carry cookies committed by waves < N) so the
-distributed fetch is deterministic in both task and actor mode."""
+fetch is deterministic whichever planner makes a wave and wherever it is
+fetched."""
 
 import pytest
 
@@ -20,15 +21,15 @@ def _doc_texts(handle, suffix):
     return None
 
 
-@pytest.mark.parametrize("mode", ["tasks", "actors"])
-def test_cookie_round_trip(ray_session, tmp_path, mode):
+@pytest.mark.parametrize("small_wave_threshold", [100_000, 0], ids=["local", "distributed"])
+def test_cookie_round_trip(ray_session, tmp_path, small_wave_threshold):
     """p0 (wave 0) sets the session cookie; gate (wave 1) presents it and
     receives the members-only body, whose link is then crawled."""
     web, seeds = webs.cookie_gate_web()
     spec = CrawlSpec(accept_cookies=True)
     res = crawl_oracle(web, seeds, spec)
     handle = crawl(
-        web, seeds, spec, str(tmp_path / "out"), fetch_mode=mode, fetch_concurrency=2
+        web, seeds, spec, str(tmp_path / "out"), small_wave_threshold=small_wave_threshold
     )
     assert_parity(res, handle)
     assert "members only" in (_doc_texts(handle, "/gate") or [])

@@ -271,6 +271,22 @@ def test_real_socket_politeness_spacing_fetch_tasks(ray_session, tmp_path):
     )
 
 
+def test_real_socket_politeness_spacing_distributed(ray_session, tmp_path):
+    """The first spacing case with every wave made by the distributed
+    planner."""
+    _assert_spacing(tmp_path, {"p0": ["a", "b", "c", "d"]}, small_wave_threshold=0)
+
+
+def test_real_socket_politeness_spacing_fetch_tasks_distributed(ray_session, tmp_path):
+    """The alternating driver/task case with every wave made by the
+    distributed planner: its waves get the same host lanes and the same
+    wait carried between the driver and the tasks."""
+    _assert_spacing(
+        tmp_path, {"p0": ["a", "b"], "a": ["c"], "c": ["d", "e"]},
+        small_wave_threshold=0, driver_fetch_threshold=1,
+    )
+
+
 def _assert_spacing(tmp_path, links: dict[str, list[str]], **crawl_kw):
     from cloud_crawler_ray.pipelines.crawl import crawl
 

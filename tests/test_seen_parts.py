@@ -1,9 +1,9 @@
 """The on-disk URL-seen record: each wave writes one seen part holding the
 keys that wave newly marked, so every key is stored once and
-``seen_urls()`` is a plain scan. This must hold whichever planner and fetch
-route a wave takes, when a redirect lands on a key that is seen already,
-when Ray retries a task whose worker died, and across a driver crash and
-resume."""
+``seen_urls()`` is a plain scan. This must hold whichever planner makes a
+wave and whether the driver or tasks fetch it, when a redirect lands on a
+key that is seen already, when Ray retries a task whose worker died, and
+across a driver crash and resume."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import cloud_crawler_ray.pipelines.crawl as crawl_mod
 from cloud_crawler_ray.oracle import crawl_oracle
 from cloud_crawler_ray.pipelines.crawl import crawl
 from cloud_crawler_ray.spec import CrawlSpec
+from cloud_crawler_ray.stages.frontier_ops import ClaimChildren
 from cloud_crawler_ray.state.shards import ShardedState
 
 from tests import webs
@@ -87,12 +88,13 @@ def test_redirects_onto_seen_keys_are_stored_once(
     _assert_disjoint(parts, res.seen)
 
 
-def _mark_then_exit(marker: str, driver_pid: int):
-    """An ``AddSeen`` whose first call in a worker process marks its batch,
-    creates *marker* and kills the worker: the retried task marks the same
-    keys again."""
+def _claim_then_exit(marker: str, driver_pid: int):
+    """A ``ClaimChildren`` whose first call in a worker process registers
+    its part's claims, creates *marker* and kills the worker: the retried
+    task registers the same claims again. Built on the driver and pickled
+    by value into the fetch tasks."""
 
-    class AddSeenThenExit(crawl_mod.AddSeen):
+    class ClaimThenExit(ClaimChildren):
         def __call__(self, batch):
             out = super().__call__(batch)
             if os.getpid() != driver_pid:
@@ -105,17 +107,18 @@ def _mark_then_exit(marker: str, driver_pid: int):
                     os._exit(1)
             return out
 
-    return AddSeenThenExit
+    return ClaimThenExit
 
 
-@pytest.mark.parametrize("crash_at", ["fetch", "after_mark"])
+@pytest.mark.parametrize("crash_at", ["fetch", "after_claims"])
 def test_distributed_wave_worker_death_is_retried(
     ray_session, tmp_path, monkeypatch, crash_at
 ):
-    """A distributed-planned wave whose worker exits — on its first page
-    (before any claim or seen mark of its block) or right after it marked
-    its seen keys — is retried by Ray; the crawl equals a clean run in
-    crawl order, seen parts, documents, counters and lineage markers."""
+    """A distributed-planned wave whose fetch worker exits — on its first
+    page (before any claim of its part) or right after its part registered
+    its next-wave claims — is retried by Ray; the crawl equals a clean run
+    in crawl order, seen parts, documents, counters and lineage markers.
+    driver_fetch_threshold=0 sends even these small waves to fetch tasks."""
     web, seeds = webs.redirect_repeat_web()
     runs = {}
     for name in ("clean", "crash"):
@@ -126,10 +129,14 @@ def test_distributed_wave_worker_death_is_retried(
         if crash_at == "fetch":
             on_page = _crash_once(marker, os.getpid())
         else:
-            monkeypatch.setattr(crawl_mod, "AddSeen", _mark_then_exit(marker, os.getpid()))
+            monkeypatch.setattr(
+                crawl_mod, "ClaimChildren", _claim_then_exit(marker, os.getpid())
+            )
         spec = CrawlSpec(on_every_page=on_page)
         out = str(tmp_path / name)
-        runs[name] = (out, crawl(web, seeds, spec, out, small_wave_threshold=0))
+        runs[name] = (out, crawl(
+            web, seeds, spec, out, small_wave_threshold=0, driver_fetch_threshold=0
+        ))
         assert os.path.exists(marker)
     (clean_out, clean), (crash_out, crashed) = runs["clean"], runs["crash"]
 

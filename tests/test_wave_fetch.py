@@ -1,7 +1,8 @@
-"""Driver-planned waves above ``driver_fetch_threshold`` are fetched by plain
-Ray tasks over slices of the wave's job table, each task writing its own raw
-parts. The crawl's outputs must not depend on how a wave is sliced, nor on a
-fetch task whose worker dies and is retried by Ray."""
+"""Waves above ``driver_fetch_threshold`` are fetched by plain Ray tasks
+over slices of the wave's job table, each task writing its own raw parts,
+whichever planner made the wave. The crawl's outputs must not depend on how
+a wave is sliced, nor on a fetch task whose worker dies and is retried by
+Ray."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ SPEC = CrawlSpec(delay=0.05, on_every_page=lambda p: {"pages": 1})
 
 
 def _web():
-    """Waves of 1, 4, 16 and 64 jobs, all planned on the driver."""
+    """Waves of 1, 4, 16 and 64 jobs."""
     return webs.branching_web(branch=4, depth=3)
 
 
@@ -43,14 +44,17 @@ def _expected_parts(n_jobs: int, fetch_batch_size: int) -> int:
 
 
 @pytest.mark.parametrize("fetch_batch_size", [512, 5], ids=["default", "k-above-cpus"])
-def test_local_wave_fetch_tasks(ray_session, tmp_path, fetch_batch_size):
+@pytest.mark.parametrize("small_wave_threshold", [100_000, 0], ids=["local", "distributed"])
+def test_wave_fetch_tasks(ray_session, tmp_path, small_wave_threshold, fetch_batch_size):
     """Each task-fetched wave writes one part per slice — k of them, more
-    than the CPUs when fetch_batch_size caps the slices — and the crawl
-    equals the oracle."""
+    than the CPUs when fetch_batch_size caps the slices — whether the
+    driver or the distributed planner made it, and the crawl equals the
+    oracle."""
     web, seeds = _web()
     out = str(tmp_path / "out")
     handle = crawl(
         web, seeds, SPEC, out,
+        small_wave_threshold=small_wave_threshold,
         driver_fetch_threshold=THRESHOLD, fetch_batch_size=fetch_batch_size,
     )
     res = crawl_oracle(web, seeds, SPEC)
