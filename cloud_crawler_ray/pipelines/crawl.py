@@ -26,12 +26,16 @@ frontier part and fetches the table in-process when it has at most
 slices of it (``_fetch_slice``, host lanes on a real network), each
 writing its own raw parts; the driver then marks the seen delta and
 commits. The crawl state (seen set, clocks, budgets, claims) starts in the
-driver and moves into ``StateShard`` actors only when a Ray task first
-needs it: the first distributed-planned wave, a resume replay, or once the
-committed job count passes the threshold (state/shards.py
-``ShardedState``). Only distributed-planned waves register next-wave
-claims, from their fetch output; a driver frontier handed to the
-distributed planner is first-wins deduped on the driver.
+driver, and the tasks of a distributed plan that only read it (admission,
+budget and trap gates, slotting) get a read-only copy of it; the driver
+writes it at commit, after the plan has run. It moves into ``StateShard``
+actors only when a task must write to it — the fallback claim pass, the
+job_limit spill writer, a resume replay — or once the committed job count
+passes the threshold (state/shards.py ``ShardedState``). Only
+distributed-planned waves on a promoted state register next-wave claims,
+from their fetch output; a driver frontier handed to the distributed
+planner is first-wins deduped on the driver, and a distributed plan whose
+candidates nobody claimed runs the fallback claim pass.
 
 Durability/commit protocol (north_rule resumability): per wave the engine
 writes (1) the slotted frontier, (2) the raw fetch output, (3) one seen
@@ -609,25 +613,16 @@ def fire_hook(fn, ctx: dict, counters: dict[str, int]) -> None:
 
 
 class AddSeen:
-    """map_batches callable that marks canonical URLs in the shards — the
-    resume replay of committed seen parts into fresh shards. Idempotent: a
-    retried batch re-marks nothing."""
+    """map_batches callable that marks canonical URLs in a promoted state —
+    the resume replay of committed seen parts into fresh shards.
+    Idempotent: a retried batch re-marks nothing."""
 
-    def __init__(self, shards: list):
-        self.shards = shards
-        self.n = len(shards)
+    def __init__(self, state: ShardedState):
+        self.state = state
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..state.shards import group_indices_by_shard
-
         keys = batch.column("canonical_url").to_pylist()
-        groups = group_indices_by_shard(keys, self.n)
-        ray.get(
-            [
-                self.shards[s].add.remote([keys[i] for i in idxs])
-                for s, idxs in groups.items()
-            ]
-        )
+        self.state.add(keys)
         return pa.table({"n": pa.array([len(keys)], pa.int64())})
 
 
@@ -680,9 +675,10 @@ def crawl(
     Planners: a wave of at most small_wave_threshold candidate rows is
     planned on the driver, a larger one by the distributed (Ray Data)
     planner — semantically identical; 0 forces the distributed planner. The
-    crawl state stays in the driver until the first distributed-planned wave
-    (or a resume replay, or a committed job count above the threshold) moves
-    it into shard actors (ShardedState).
+    crawl state stays in the driver, and a distributed plan's tasks read a
+    copy of it, until a task must write to it (a fallback claim pass, a
+    job_limit spill, a resume replay) or the committed job count passes the
+    threshold; then it moves into shard actors (ShardedState).
 
     Fetch, whichever planner made the wave: a wave of at most
     driver_fetch_threshold jobs is fetched in the driver process; a larger
@@ -825,7 +821,7 @@ def _fetch_slice(fetch_fn, tbl: pa.Table, lo: int, hi: int, raw_dir: str,
 
 
 def _spill_split_writer(
-    spill_dir: str, cutoff: int, claim_shards: list, claim_wave: int
+    spill_dir: str, cutoff: int, state: ShardedState, claim_wave: int
 ):
     """map_batches stage fusing the job_limit spill into the wave plan: rows
     with seq >= cutoff are written to *spill_dir* (sans seq — re-assigned
@@ -835,10 +831,13 @@ def _spill_split_writer(
     tail-write execution. Part naming and retry-idempotence as in
     _passthrough_part_writer (min seq is globally unique per wave).
 
-    Spilled rows also register first-wins claims on *claim_shards* (they
+    Spilled rows also register first-wins claims on *state* (they
     re-enter wave *claim_wave*'s candidate pool alongside that wave's
-    children; idempotent min-merge, so retries are safe)."""
+    children; idempotent min-merge, so retries are safe). Its tasks write
+    to the state, so it promotes the state first."""
     import pyarrow.parquet as pq
+
+    state.promote()
 
     def split(t: pa.Table) -> pa.Table:
         tail = t.filter(pc.greater_equal(t.column("seq"), cutoff))
@@ -849,10 +848,7 @@ def _spill_split_writer(
                 tail.drop_columns(["seq"]),
                 os.path.join(spill_dir, f"part-{lo:012d}.parquet"),
             )
-            from ..stages.frontier_ops import _claim_to_shards
-
-            _claim_to_shards(
-                claim_shards,
+            state.claim_frontier(
                 claim_wave,
                 tail.column("canonical_url").to_pylist(),
                 tail.column("parent_seq").to_numpy(zero_copy_only=False),
@@ -932,8 +928,10 @@ def _crawl_inner(
             )
         ]
         if seen_files:
+            # the replay's tasks write: move the state into its actors
+            state.promote()
             rd.read_parquet(seen_files, columns=["canonical_url"]).map_batches(
-                AddSeen(state.shards), batch_format="pyarrow", batch_size=4096
+                AddSeen(state), batch_format="pyarrow", batch_size=4096
             ).count()
         state.advance_clocks({h: int(t) for h, t in last["clocks"].items()})
         sched_prev = last.get("sched", {})
@@ -1040,9 +1038,10 @@ def _crawl_inner(
                 os.makedirs(spill_dir, exist_ok=True)
                 pq.write_table(spill_tbl, os.path.join(spill_dir, "part-0.parquet"))
         else:
-            # the plan's tasks call the shards: move the state into its
-            # actors now (no-op after the first distributed wave)
-            state.promote()
+            # the plan's tasks only read the state (the driver writes it at
+            # commit, after the plan has run): an unpromoted state reaches
+            # them as a read-only copy. Its writers — the fallback claim
+            # pass and the spill writer — promote it first
             f = fr_ds
             if spec.follow_links:
                 # candidates were claimed by their PRODUCING execution (fetch
@@ -1105,7 +1104,7 @@ def _crawl_inner(
                 f = f.map_batches(
                     _spill_split_writer(
                         spill_dir, next_seq + spec.job_limit,
-                        claim_shards=state.shards, claim_wave=wave + 1,
+                        state=state, claim_wave=wave + 1,
                     ),
                     batch_format="pyarrow",
                 )
@@ -1139,14 +1138,16 @@ def _crawl_inner(
         )
 
         # --- fetch + extract → durable raw parts ---
-        # a distributed-planned wave registers its children's next-wave
-        # first-wins claims from each fetched part, so the next distributed
-        # plan needs no dedup shuffle. A driver-planned wave registers none:
-        # its successor is planned on the driver, or first-wins deduped
-        # there before a distributed plan
+        # a distributed-planned wave on a promoted state registers its
+        # children's next-wave first-wins claims from each fetched part, so
+        # the next distributed plan needs no claim pass. A driver-planned
+        # wave registers none: its successor is planned on the driver, or
+        # first-wins deduped there before a distributed plan. Neither does a
+        # wave whose state is still in the driver (registering would promote
+        # it): a distributed plan after it runs the fallback claim pass
         claim = (
-            ClaimChildren(state.shards, wave + 1)
-            if spec.follow_links and not local else None
+            ClaimChildren(state, wave + 1)
+            if spec.follow_links and not local and state.promoted else None
         )
         if n_jobs <= driver_fetch_threshold:
             # in-process: a task round trip costs more than it parallelizes
@@ -1311,10 +1312,11 @@ def _crawl_inner(
         committed.append(read_json(os.path.join(out_dir, "lineage", f"wave={wave:05d}.json")))
         # this wave's claims were consumed by its plan; free the shard
         # memory. Claims for wave+1 (registered by this wave's fetch / spill
-        # writers when it was planned distributed) are now complete — the
-        # next plan skips the fallback claim pass.
+        # writers when it was planned distributed on a promoted state) are
+        # now complete, or its children are deduped on the driver after a
+        # driver-planned wave — the next plan skips the fallback claim pass.
         state.clear_claims(wave)
-        claims_ready = spec.follow_links
+        claims_ready = spec.follow_links and (local or claim is not None)
 
         if not spec.follow_links and not spilled:
             wave += 1

@@ -33,13 +33,13 @@ import pyarrow as pa
 import ray
 
 from .. import canon
-from ..canon import canonical_url, host_of
+from ..canon import canonical_url
 from ..extract import extract_page, is_parseable
 from ..functions.agents import agent_for
 from ..oracle import LinkAdmission, SyntheticNet, fetch_chain
 from ..schemas import SPAN_TYPE
 from ..spec import CrawlSpec
-from .cookies import CookieStore, request_cookie_header
+from .cookies import request_cookie_header
 
 FETCH_OUT_SCHEMA = pa.schema(
     [
@@ -118,7 +118,6 @@ class FetchExtract:
         self.wave = wave
         self.adm = LinkAdmission(spec, self.net)
         self._hook_res = [(re.compile(p), fn) for p, fn in spec.on_pages_like]
-        self.cookies = CookieStore() if spec.accept_cookies else None
         # wave-committed per-host Cookie headers (set by the driver per wave;
         # read-only here, so fetch is deterministic wherever it runs)
         self.cookie_hdrs: dict[str, str] = cookie_hdrs or {}
@@ -210,8 +209,6 @@ class FetchExtract:
                         for k, t, m, o in ex.spans
                     ]
                 )
-                if self.cookies is not None and p.set_cookie:
-                    self.cookies.merge(host_of(p.url), [p.set_cookie])
                 page_canonical = canonical_url(p.url)
                 page_dict = {
                     "user_agent": ua,

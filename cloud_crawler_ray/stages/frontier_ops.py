@@ -7,9 +7,11 @@ expansion. All vectorized Arrow batch transforms.
   registered on the state shards (below) or by ``_dedup_batch`` on the
   driver.
 - The seen filter is the cross-wave anti-join against the sharded membership
-  actors (the Redis bloom analog), fused with the claim check into one
-  batched RPC per shard per batch (``admit_frontier``), check-only —
-  marking happens at wave commit (batch_crawl_job.rb:139-153).
+  state (the Redis bloom analog), fused with the claim check into one
+  batched call per shard per batch (``admit_frontier``), check-only —
+  marking happens at wave commit (batch_crawl_job.rb:139-153). Being
+  read-only, it runs on a task's copy of the driver's state while the
+  state is unpromoted, and against the shard actors after.
 - Child expansion explodes the fetch stage's already-admitted ``child_urls``
   lists into next-wave frontier rows.
 """
@@ -82,6 +84,10 @@ def _cluster_shards(floor: int = _DEDUP_SHARDS) -> int:
 # each key's shard "am I the claim winner, and is the key unseen?" — the
 # in-wave dedup and the cross-wave anti-join in ONE batched RPC per shard
 # per block, moving (key, 2 ints) instead of whole frontier rows.
+# Registering writes the state from tasks, so only a promoted state takes
+# claims from a fetch; a wave fetched while the state is still in the
+# driver registers none, and the next distributed plan runs the fallback
+# pass (`claim_candidates`), which promotes.
 
 
 def _flat_children(batch: pa.Table):
@@ -110,53 +116,33 @@ def _flat_children(batch: pa.Table):
     return flat, np.repeat(seqs, counts), ordinals, counts
 
 
-def _claim_to_shards(shards, wave: int, keys: list, pseqs, ords) -> None:
-    """Register claims, batched per shard, resolved in one ray.get (the
-    registration must be DONE when this call returns — the enclosing task's
-    completion is the planning barrier)."""
-    from ..state.shards import group_indices_by_shard
-
-    if not keys:
-        return
-    groups = group_indices_by_shard(keys, len(shards))
-    ray.get(
-        [
-            shards[sid].claim_frontier.remote(
-                wave,
-                [keys[i] for i in idxs],
-                [int(pseqs[i]) for i in idxs],
-                [int(ords[i]) for i in idxs],
-            )
-            for sid, idxs in groups.items()
-        ]
-    )
-
-
 class ClaimChildren:
     """Passthrough over raw fetch parts: registers next-wave claims for
-    every admitted child (canonical, parent seq, ordinal)."""
+    every admitted child (canonical, parent seq, ordinal) on *state*, which
+    must be promoted when it is pickled into a task (the registration is
+    DONE when the call returns — the enclosing task's completion is the
+    planning barrier)."""
 
-    def __init__(self, shards: list, next_wave: int):
-        self.shards = shards
+    def __init__(self, state, next_wave: int):
+        self.state = state
         self.next_wave = next_wave
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         flat, pseqs, ords, _ = _flat_children(batch)
-        _claim_to_shards(self.shards, self.next_wave, flat.to_pylist(), pseqs, ords)
+        self.state.claim_frontier(self.next_wave, flat.to_pylist(), pseqs, ords)
         return batch
 
 
 def claim_candidates(ds: rd.Dataset, state, wave: int) -> rd.Dataset:
     """Fallback claim pass over already-exploded candidate rows (seed waves
     and resume replans, where no producing execution registered claims):
-    partial in-batch dedup → claim RPCs → materialize (the barrier)."""
-
-    shards = state.shards
+    partial in-batch dedup → claim RPCs → materialize (the barrier). Its
+    tasks write to the state, so it promotes the state first."""
+    state.promote()
 
     def claim(batch: pa.Table) -> pa.Table:
         batch = _dedup_batch(batch)
-        _claim_to_shards(
-            shards,
+        state.claim_frontier(
             wave,
             batch.column("canonical_url").to_pylist(),
             batch.column("parent_seq").to_numpy(zero_copy_only=False),
@@ -170,40 +156,29 @@ def claim_candidates(ds: rd.Dataset, state, wave: int) -> rd.Dataset:
 class AdmitFrontier:
     """map_batches callable: keep a candidate row iff it is its key's claim
     winner AND the key is not in the committed seen set — the in-wave dedup
-    and the seen anti-join fused into one batched RPC per shard per block."""
+    and the seen anti-join fused into one batched call per shard per block
+    (``ShardedState.admit_frontier``). It only reads the state, so a task
+    runs it on the read-only copy of an unpromoted state."""
 
-    def __init__(self, shards: list, wave: int):
-        self.shards = shards
+    def __init__(self, state, wave: int):
+        self.state = state
         self.wave = wave
-        self.n = len(shards)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..state.shards import group_indices_by_shard
-
-        batch = _dedup_batch(batch)  # in-batch partial: shrink the RPCs
-        keys = batch.column("canonical_url").to_pylist()
-        if not keys:
+        batch = _dedup_batch(batch)  # in-batch partial: shrink the calls
+        if not batch.num_rows:
             return batch
-        pseqs = batch.column("parent_seq").to_numpy(zero_copy_only=False)
-        ords = batch.column("ordinal").to_numpy(zero_copy_only=False)
-        groups = group_indices_by_shard(keys, self.n)
-        futs = [
-            self.shards[sid].admit_frontier.remote(
-                self.wave,
-                [keys[i] for i in idxs],
-                [int(pseqs[i]) for i in idxs],
-                [int(ords[i]) for i in idxs],
-            )
-            for sid, idxs in groups.items()
-        ]
-        mask = np.zeros(len(keys), dtype=bool)
-        for (sid, idxs), res in zip(groups.items(), ray.get(futs)):
-            mask[idxs] = res
-        return batch.filter(pa.array(mask))
+        mask = self.state.admit_frontier(
+            self.wave,
+            batch.column("canonical_url").to_pylist(),
+            batch.column("parent_seq").to_numpy(zero_copy_only=False),
+            batch.column("ordinal").to_numpy(zero_copy_only=False),
+        )
+        return batch.filter(pa.array(mask, pa.bool_()))
 
 
 def admit_frontier(ds: rd.Dataset, state, wave: int) -> rd.Dataset:
-    return ds.map_batches(AdmitFrontier(state.shards, wave), batch_format="pyarrow")
+    return ds.map_batches(AdmitFrontier(state, wave), batch_format="pyarrow")
 
 
 def explode_children(batch: pa.Table) -> pa.Table:

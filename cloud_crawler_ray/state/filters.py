@@ -29,8 +29,23 @@ def _hash128(key: str, seed: int) -> tuple[int, int]:
     return int.from_bytes(d[:8], "little"), int.from_bytes(d[8:], "little")
 
 
+def _hash128_many(keys: list[str], seed: int) -> np.ndarray:
+    """``_hash128`` of every key as an (n, 2) uint64 array: one digest per
+    key, read in one ``frombuffer``."""
+    salt = seed.to_bytes(8, "little")
+    blake2b = hashlib.blake2b
+    buf = b"".join(
+        blake2b(k.encode("utf-8"), digest_size=16, salt=salt).digest() for k in keys
+    )
+    return np.frombuffer(buf, dtype="<u8").reshape(len(keys), 2)
+
+
 class BloomFilter:
-    """Double-hashing Bloom filter over a numpy bit array."""
+    """Double-hashing Bloom filter over a numpy bit array. A key with
+    digest halves (h1, h2) sets bits (h1 + i * h2) mod n_bits, i < n_hashes,
+    in wrapping uint64 arithmetic. The batched methods compute the whole
+    (keys, n_hashes) index matrix at once and set or test the same bits as
+    the per-key ones."""
 
     def __init__(self, n_bits: int = 500_000, n_hashes: int = 7, seed: int = _DEFAULT_SEED):
         self.n_bits = int(n_bits)
@@ -43,6 +58,11 @@ class BloomFilter:
         i = np.arange(self.n_hashes, dtype=np.uint64)
         return (h1 + i * h2) % np.uint64(self.n_bits)
 
+    def _index_matrix(self, keys: list[str]) -> np.ndarray:
+        h = _hash128_many(keys, self.seed)
+        i = np.arange(self.n_hashes, dtype=np.uint64)
+        return (h[:, :1] + i * h[:, 1:]) % np.uint64(self.n_bits)
+
     def add(self, key: str) -> None:
         idx = self._indices(key)
         np.bitwise_or.at(self.bits, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
@@ -52,11 +72,16 @@ class BloomFilter:
         return bool(np.all(self.bits[idx >> 3] & (1 << (idx & 7))))
 
     def add_many(self, keys: list[str]) -> None:
-        for k in keys:
-            self.add(k)
+        if not keys:
+            return
+        idx = self._index_matrix(keys).ravel()
+        np.bitwise_or.at(self.bits, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
 
     def contains_many(self, keys: list[str]) -> list[bool]:
-        return [k in self for k in keys]
+        if not keys:
+            return []
+        idx = self._index_matrix(keys)
+        return np.all(self.bits[idx >> 3] & (1 << (idx & 7)), axis=1).tolist()
 
     def merge(self, other: "BloomFilter") -> None:
         assert (self.n_bits, self.n_hashes, self.seed) == (

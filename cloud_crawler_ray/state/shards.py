@@ -6,8 +6,9 @@ batch_job.rb:178-183). Here it is hash-partitioned by key —
 ``StatePartition`` holds one partition of the exact seen set plus a Bloom
 summary (the at-scale representation; exact set gives test-scale
 exactness) and one partition of the host→virtual-clock map. The partitions
-stay in the driver while the crawl is planned there and move into
-``StateShard`` actors when a Ray task first needs them (``ShardedState``).
+stay in the driver, and a Ray task that only reads them gets a read-only
+copy; they move into ``StateShard`` actors when a task must write to them,
+or once the crawl's committed jobs outgrow the driver (``ShardedState``).
 Shard count scales with the cluster (256 shards on a 256-node cluster ⇒
 ~47 MB bloom per shard at 10^10 URLs, see filters.py memory math); all
 calls are batched (one call per shard per wave-stage, not per URL).
@@ -102,31 +103,37 @@ class StatePartition:
 
     # ---- membership (the Redis bloom analog) ----
     def check(self, keys: list[str]) -> list[bool]:
-        """True = unseen. Bloom fast-path: a bloom miss is definitely unseen;
-        a hit falls back to the exact set (no false positives at test scale,
-        while exercising the at-scale data structure)."""
-        return [not (k in self.bloom and k in self.seen) for k in keys]
+        """True = unseen. Bloom fast-path, batched: a bloom miss is
+        definitely unseen; a hit falls back to the exact set (no false
+        positives at test scale, while exercising the at-scale data
+        structure)."""
+        return [
+            not (hit and k in self.seen)
+            for k, hit in zip(keys, self.bloom.contains_many(keys))
+        ]
+
+    def _insert(self, new: list[str]) -> None:
+        """Mark *new* (distinct keys, none seen yet) and list them as fresh."""
+        self.seen.update(new)
+        self.bloom.add_many(new)
+        self.fresh.extend(new)
 
     def add(self, keys: list[str]) -> int:
-        for k in keys:
-            if k not in self.seen:
-                self.seen.add(k)
-                self.bloom.add(k)
-                self.fresh.append(k)
+        self._insert([k for k in dict.fromkeys(keys) if k not in self.seen])
         return len(self.seen)
 
     def check_and_add(self, keys: list[str]) -> list[bool]:
         """Atomic first-wins admission (in-shard serialization — the queue
-        analog). Returns True where the key was newly admitted."""
+        analog). Returns True where the key was newly admitted: only its
+        first occurrence in *keys*."""
+        new: dict[str, None] = {}
         out = []
-        for k in keys:
-            if k in self.bloom and k in self.seen:
-                out.append(False)
-            else:
-                self.seen.add(k)
-                self.bloom.add(k)
-                self.fresh.append(k)
-                out.append(True)
+        for k, unseen in zip(keys, self.check(keys)):
+            first = unseen and k not in new
+            if first:
+                new[k] = None
+            out.append(first)
+        self._insert(list(new))
         return out
 
     def take_fresh(self) -> list[str]:
@@ -159,14 +166,10 @@ class StatePartition:
         batched call. A key with no registered claim was never contested
         (degenerate single-producer case): seen check only."""
         claims = self.claims.get(wave, {})
-        out = []
-        for k, p, o in zip(keys, pseqs, ords):
-            c = claims.get(k)
-            if c is not None and c != (p, o):
-                out.append(False)
-            else:
-                out.append(not (k in self.bloom and k in self.seen))
-        return out
+        return [
+            unseen and claims.get(k, (p, o)) == (p, o)
+            for k, p, o, unseen in zip(keys, pseqs, ords, self.check(keys))
+        ]
 
     def clear_claims(self, wave: int) -> None:
         self.claims.pop(wave, None)
@@ -227,23 +230,35 @@ class StatePartition:
 StateShard = ray.remote(num_cpus=0)(StatePartition)
 
 
+# the methods that change a partition: a task's read-only copy of the
+# driver's state refuses them (ShardedState.__getstate__)
+_WRITES = frozenset({
+    "add", "advance_clocks", "add_sched", "add_lat", "claim_frontier",
+    "clear_claims", "take_fresh", "restore",
+})
+
+
 class ShardedState:
     """The crawl's seen set, clocks, budgets, latency stats, claims and
     fresh-key lists, hash-partitioned into ``n_shards`` ``StatePartition``s.
 
     The partitions start in the driver process as plain objects, so a crawl
-    whose waves are all planned on the driver starts no actor. The first
-    read of ``shards`` promotes them: one ``StateShard`` actor per
-    partition, constructed with every field, after which the state lives only
-    in the actors. The crawl reads ``shards`` when a Ray task first needs a
-    handle — the first distributed-planned wave or a resume replay — and
-    when its committed job count passes the small-wave threshold
-    (``promote``); pickling the state (map_batches closures capture it)
-    promotes too and ships only the handles, so a task never works on a
-    forked copy. Every method batches per shard (one call per shard, never
-    per key): a direct call before promotion, one ``.remote`` per shard and
-    one ``ray.get`` after. ``take_fresh`` gathers the keys every partition
-    inserted since its last call: after a wave's ``add``, its seen delta."""
+    whose waves are all planned on the driver starts no actor, and neither
+    does a Ray task that only reads the state: pickling an unpromoted state
+    (map_batches closures capture it) ships a read-only copy of its
+    partitions, on which every read runs in the task and every write —
+    and ``promote`` — raises, so a task never forks the state. The state
+    moves into actors only when ``promote`` is called: one ``StateShard``
+    actor per partition, constructed with every field, after which the
+    state lives only in the actors and a pickle ships their handles. The
+    crawl promotes before a
+    task must write (a claim pass, a spill writer, a resume replay) and
+    once its committed job count passes the small-wave threshold, which
+    also bounds the size of a task's copy. Every method batches per shard
+    (one call per shard, never per key): a direct call on a partition
+    before promotion, one ``.remote`` per shard and one ``ray.get`` after.
+    ``take_fresh`` gathers the keys every partition inserted since its last
+    call: after a wave's ``add``, its seen delta."""
 
     def __init__(self, n_shards: int, bloom_bits: int = 1 << 20):
         self.n_shards = n_shards
@@ -251,16 +266,11 @@ class ShardedState:
             StatePartition(i, bloom_bits=bloom_bits) for i in range(n_shards)
         ]
         self._actors: list | None = None
+        self._read_only = False
 
     @property
     def promoted(self) -> bool:
         return self._actors is not None
-
-    @property
-    def shards(self) -> list:
-        """The ``StateShard`` actor handles (promotes on first read)."""
-        self.promote()
-        return self._actors
 
     def promote(self) -> None:
         """Move every partition into its own ``StateShard`` actor (no-op
@@ -269,16 +279,28 @@ class ShardedState:
         overlaps their start-up."""
         if self._actors is not None:
             return
+        self._refuse_on_copy("promote")
         self._actors = [
             StateShard.remote(p.shard_id, fields=vars(p)) for p in self._parts
         ]
         self._parts = None
 
     def __getstate__(self) -> dict:
-        return {"n_shards": self.n_shards, "_parts": None, "_actors": self.shards}
+        # promoted: the actor handles; unpromoted: a read-only copy of the
+        # partitions (a copy of a copy stays read-only)
+        return vars(self) | {"_read_only": not self.promoted}
+
+    def _refuse_on_copy(self, method: str) -> None:
+        if self._read_only:
+            raise RuntimeError(
+                f"ShardedState.{method} on a task's read-only copy of the "
+                "driver's state: promote the state before the task runs"
+            )
 
     def _call(self, method: str, args: dict[int, tuple]) -> dict:
         """{shard id: args} → {shard id: method(*args)} on those shards."""
+        if method in _WRITES:
+            self._refuse_on_copy(method)
         if self._actors is None:
             return {sid: getattr(self._parts[sid], method)(*a) for sid, a in args.items()}
         futs = [getattr(self._actors[sid], method).remote(*a) for sid, a in args.items()]
@@ -297,6 +319,30 @@ class ShardedState:
     def _keyed(self, method: str, keys: list[str]) -> list[tuple[np.ndarray, object]]:
         return self._routed(method, keys, lambda idxs: ([keys[i] for i in idxs],))
 
+    def _claimed(
+        self, method: str, wave: int, keys: list[str], pseqs, ords
+    ) -> list[tuple[np.ndarray, object]]:
+        """A per-row (wave, key, parent seq, ordinal) call: the claim
+        methods."""
+        return self._routed(
+            method,
+            keys,
+            lambda idxs: (
+                wave,
+                [keys[i] for i in idxs],
+                [int(pseqs[i]) for i in idxs],
+                [int(ords[i]) for i in idxs],
+            ),
+        )
+
+    @staticmethod
+    def _mask(n: int, parts: list[tuple[np.ndarray, object]]) -> list[bool]:
+        """Per-shard boolean results scattered back into key order."""
+        out = np.zeros(n, dtype=bool)
+        for idxs, res in parts:
+            out[idxs] = res
+        return out.tolist()
+
     def _update(self, method: str, updates: dict) -> None:
         """Route a {key: value} update to the shards that own its keys."""
         keys = list(updates)
@@ -311,11 +357,8 @@ class ShardedState:
         return out
 
     def check(self, keys: list[str]) -> list[bool]:
-        out = [True] * len(keys)
-        for idxs, unseen in self._keyed("check", keys):
-            for i, u in zip(idxs, unseen):
-                out[i] = u
-        return out
+        """True = unseen."""
+        return self._mask(len(keys), self._keyed("check", keys))
 
     def add(self, keys: list[str]) -> None:
         self._keyed("add", keys)
@@ -347,16 +390,15 @@ class ShardedState:
     def claim_frontier(
         self, wave: int, keys: list[str], pseqs: list[int], ords: list[int]
     ) -> None:
-        self._routed(
-            "claim_frontier",
-            keys,
-            lambda idxs: (
-                wave,
-                [keys[i] for i in idxs],
-                [int(pseqs[i]) for i in idxs],
-                [int(ords[i]) for i in idxs],
-            ),
-        )
+        """Register first-wins claims; they are all registered when this
+        returns."""
+        self._claimed("claim_frontier", wave, keys, pseqs, ords)
+
+    def admit_frontier(
+        self, wave: int, keys: list[str], pseqs: list[int], ords: list[int]
+    ) -> list[bool]:
+        """Per row: its key's claim winner and unseen (StatePartition)."""
+        return self._mask(len(keys), self._claimed("admit_frontier", wave, keys, pseqs, ords))
 
     def clear_claims(self, wave: int) -> None:
         self._each("clear_claims", wave)

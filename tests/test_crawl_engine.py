@@ -369,32 +369,16 @@ def test_random_user_agent_deterministic(ray_session, tmp_path):
     assert len(set(got.values())) > 1  # actually varies per request
 
 
-def test_cookie_jar_populated():
-    """Cookie plumbing: fetcher merges Set-Cookie per host (unit-level —
-    distributed cookie consistency needs actor mode + host affinity, see
-    stages/cookies.py docstring)."""
-    import ray
-
-    from cloud_crawler_ray.stages.fetch import FetchExtract
+def test_cookie_jar_populated(ray_session, tmp_path):
+    """Cookie plumbing: each wave's Set-Cookie responses are merged per host
+    into the wave-committed jar that the lineage marker carries (and the
+    next wave's requests send)."""
+    from tests.test_wave_fetch import _lineage
 
     web, seeds = webs.cookie_web()
-    ref = ray.put(web)
-    fx = FetchExtract(ref, CrawlSpec(accept_cookies=True), wave=0)
-    import pyarrow as pa
-
-    batch = pa.table(
-        {
-            "url": ["http://www.example.com/p0", "http://www.example.com/p1"],
-            "referer": ["", ""],
-            "depth": pa.array([0, 0], pa.int32()),
-            "seq": pa.array([0, 1], pa.int64()),
-            "host": ["www.example.com", "www.example.com"],
-            "fetch_time_ms": pa.array([0, 0], pa.int64()),
-            "job_end_ms": pa.array([10, 20], pa.int64()),
-        }
-    )
-    fx(batch)
-    header = fx.cookies.cookie_header("www.example.com")
+    out = str(tmp_path / "out")
+    crawl(web, seeds, CrawlSpec(accept_cookies=True), out)
+    header = _lineage(out)[-1]["cookies"]["www.example.com"]
     assert "session=abc123" in header and "pref=dark" in header
 
 

@@ -28,6 +28,35 @@ def test_bloom_no_false_negatives_deterministic():
     assert (b1.bits == b2.bits).all()  # fixed seed → identical layout
 
 
+def test_bloom_batched_equals_per_key():
+    """add_many / contains_many set and test exactly the bits of the per-key
+    add / in — non-ASCII and repeated keys included."""
+    keys = [f"http://h{i % 7}.com/p{i}" for i in range(4_990)]
+    keys += ["http://ü.com/ø", "http://例え.jp/パス", "", "x", "x", keys[3]] * 2
+    assert len(keys) == 5_002
+    one, many = BloomFilter(n_bits=1 << 16), BloomFilter(n_bits=1 << 16)
+    for k in keys:
+        one.add(k)
+    many.add_many(keys)
+    assert (one.bits == many.bits).all()
+    probe = keys + [f"http://absent{i}.com/é" for i in range(5_000)]
+    assert many.contains_many(probe) == [k in one for k in probe]
+    assert many.contains_many([]) == []
+
+
+def test_partition_add_keeps_first_occurrence_order():
+    from cloud_crawler_ray.state.shards import StatePartition
+
+    p = StatePartition(0)
+    p.add(["b", "a"])
+    p.take_fresh()
+    assert p.add(["c", "a", "d", "c", "b", "e"]) == 5
+    assert p.take_fresh() == ["c", "d", "e"]
+    assert p.check(["a", "z", "e"]) == [False, True, False]
+    assert p.check_and_add(["z", "a", "z", "y"]) == [True, False, False, True]
+    assert p.take_fresh() == ["z", "y"]
+
+
 def test_cuckoo_add_contains_delete():
     c = CuckooFilter(n_buckets=1 << 12)
     keys = [f"url-{i}" for i in range(2000)]

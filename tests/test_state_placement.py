@@ -1,11 +1,14 @@
 """Where the crawl state lives: ``ShardedState`` keeps its partitions in the
-driver until a Ray task needs them, then moves them into ``StateShard``
-actors. Results must not depend on where the state is — per method, in a
-task that receives a pickled state, across crawls that switch between the
-driver-side and the distributed planner, and across resume."""
+driver, hands a Ray task that only reads them a read-only copy, and moves
+them into ``StateShard`` actors when a task must write to them or the
+crawl outgrows the driver. Results must not depend on where the state is —
+per method, in a task that receives a pickled state, across crawls that
+switch between the driver-side and the distributed planner, and across
+resume."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import re
@@ -81,7 +84,8 @@ def test_methods_equal_before_and_after_promotion(ray_session):
 
 
 def test_promotion_carries_claims(ray_session):
-    """Claims registered while the state is in the driver reach the actors:
+    """Claims registered while the state is in the driver decide admission
+    there, without promoting it, and reach the actors when it is promoted:
     admit_frontier drops a row that lost its key's first-wins claim."""
     from cloud_crawler_ray.stages.frontier_ops import AdmitFrontier
 
@@ -90,7 +94,6 @@ def test_promotion_carries_claims(ray_session):
         urls = ["http://h.com/a", "http://h.com/b", "http://h.com/a", "http://h.com/c"]
         state.claim_frontier(1, urls, [5, 4, 2, 9], [0, 0, 3, 1])
         state.add(["http://h.com/c"])
-        assert not state.promoted
         # the losing copy of a, plus b and the already-seen c
         batch = pa.table(
             {
@@ -99,34 +102,91 @@ def test_promotion_carries_claims(ray_session):
                 "ordinal": pa.array([0, 0, 1], pa.int32()),
             }
         )
-        kept = AdmitFrontier(state.shards, 1)(batch)
-        assert state.promoted
+        kept = AdmitFrontier(state, 1)(batch)
+        assert not state.promoted
         assert kept.column("canonical_url").to_pylist() == ["http://h.com/b"]
+        state.promote()
+        assert AdmitFrontier(state, 1)(batch).equals(kept)
         state.clear_claims(1)
-        assert AdmitFrontier(state.shards, 1)(batch).num_rows == 2
+        assert AdmitFrontier(state, 1)(batch).num_rows == 2
     finally:
         state.shutdown()
 
 
+_CLAIM = (1, ["http://h.com/a", "http://h.com/b"], [3, 4], [0, 1])
+
+
+def _writes(state: ShardedState) -> dict:
+    """Every write of ShardedState, with arguments."""
+    return {
+        "add": (KEYS[40:],),
+        "advance_clocks": ({HOSTS[0]: 10_000},),
+        "add_sched": ({HOSTS[1]: 1},),
+        "add_lat": ({HOSTS[2]: (1, 1)},),
+        "claim_frontier": _CLAIM,
+        "clear_claims": (1,),
+        "take_fresh": (),
+        "restore": (ShardedState(state.n_shards).snapshots(),),
+        "promote": (),
+    }
+
+
+def test_read_only_copy_reads_and_refuses_writes():
+    """A pickled unpromoted state is a read-only copy: its reads equal the
+    driver's, and every write raises without changing it — a copy of the
+    copy too."""
+    state = ShardedState(3)
+    _step1(state)
+    state.claim_frontier(*_CLAIM)
+    admit = (1, [KEYS[0], KEYS[30], *_CLAIM[1]], [0, 0, 3, 5], [0, 0, 0, 1])
+    copy = pickle.loads(pickle.dumps(state))
+    for c in (copy, pickle.loads(pickle.dumps(copy))):
+        assert not c.promoted
+        assert _reads(c) == _reads(state)
+        assert c.admit_frontier(*admit) == state.admit_frontier(*admit) == [
+            False, True, True, False
+        ]
+        for method, args in _writes(c).items():
+            with pytest.raises(RuntimeError, match="read-only copy"):
+                getattr(c, method)(*args)
+        assert _reads(c) == _reads(state)
+        c.shutdown()  # holds no actor: a no-op
+    assert not state.promoted
+    state.add(KEYS[40:])  # the driver's own state stays writable
+    assert state.check(KEYS[40:]) == [False] * 20
+
+
 def test_task_sees_driver_state_through_pickle(ray_session):
-    """A task that captures a never-promoted state works on the driver's
-    state, not on a pickled copy of it."""
+    """A task that captures a never-promoted state reads a copy of the
+    driver's state and cannot write to it; once the state is promoted, the
+    task's writes reach the actors the driver reads."""
     state = ShardedState(3)
     try:
         state.add(["http://h.com/a"])
         state.advance_clocks({"h.com": 42})
 
         @ray.remote
-        def probe(st):
-            st.add(["http://h.com/b"])
-            return (
+        def probe(st, write):
+            reads = (
                 st.check(["http://h.com/a", "http://h.com/b", "http://h.com/c"]),
                 st.get_clocks(["h.com"]),
                 st.promoted,
             )
+            if write:
+                st.add(["http://h.com/b"])
+            return reads
 
-        assert ray.get(probe.remote(state)) == ([False, False, True], {"h.com": 42}, True)
-        assert state.promoted
+        assert ray.get(probe.remote(state, False)) == (
+            [False, True, True], {"h.com": 42}, False
+        )
+        with pytest.raises(ray.exceptions.RayTaskError, match="read-only copy"):
+            ray.get(probe.remote(state, True))
+        assert not state.promoted
+        assert state.check(["http://h.com/b"]) == [True]
+        state.promote()
+        assert ray.get(probe.remote(state, True)) == (
+            [False, True, True], {"h.com": 42}, True
+        )
         assert state.check(["http://h.com/b"]) == [False]  # the task's write
     finally:
         state.shutdown()
@@ -250,6 +310,95 @@ def test_resume_from_unpromoted_crawl(ray_session, tmp_path):
     res = crawl_oracle(web, seeds, PULSE_SPEC)
     assert_parity(res, resumed)
     assert resumed.counters() == res.counters
+
+
+# one host, 16 pages in handoff_web(3) and 28 in handoff_web(4): the
+# budget drops pages in the distributed-planned waves
+HANDOFF_SPEC = CrawlSpec(delay=0.05, on_every_page=lambda p: {"pages": 1})
+HANDOFF_KW = dict(small_wave_threshold=20, driver_fetch_threshold=4)
+
+
+@pytest.mark.parametrize("budget", [None, 14], ids=["plain", "budget"])
+def test_read_only_handoff_starts_no_actor(ray_session, tmp_path, planner_log, budget):
+    """Waves planned L, L, D, where the distributed plan only reads the
+    state and its 12 jobs are fetched by tasks: the crawl ends with the
+    state still in the driver and equals the oracle."""
+    web, seeds = webs.handoff_web(3)
+    spec = dataclasses.replace(HANDOFF_SPEC, max_pages_per_host=budget)
+    state = ShardedState(4)
+    try:
+        handle = crawl(web, seeds, spec, str(tmp_path / "out"), state=state, **HANDOFF_KW)
+        assert not state.promoted
+    finally:
+        state.shutdown()
+    assert "".join(planner_log) == "LLD"
+    res = crawl_oracle(web, seeds, spec)
+    assert_parity(res, handle)
+    assert handle.counters() == res.counters
+
+
+def test_unclaimed_distributed_wave_promotes_in_claim_pass(
+    ray_session, tmp_path, monkeypatch, planner_log
+):
+    """Waves planned L, L, D, D: the first distributed wave runs on the
+    driver's state and registers no claims, so the second runs the fallback
+    claim pass, which promotes the state; the crawl equals the oracle."""
+    import cloud_crawler_ray.pipelines.crawl as crawl_mod
+
+    calls = []
+    claim = crawl_mod.claim_candidates
+
+    def on_claim(ds, st, wave):
+        calls.append(("".join(planner_log), st.promoted))
+        return claim(ds, st, wave)
+
+    monkeypatch.setattr(crawl_mod, "claim_candidates", on_claim)
+    web, seeds = webs.handoff_web(4)
+    spec = dataclasses.replace(HANDOFF_SPEC, max_pages_per_host=26)
+    state = ShardedState(4)
+    try:
+        handle = crawl(web, seeds, spec, str(tmp_path / "out"), state=state, **HANDOFF_KW)
+        assert state.promoted
+    finally:
+        state.shutdown()
+    assert "".join(planner_log) == "LLDD"
+    assert calls == [("LLD", False)]
+    res = crawl_oracle(web, seeds, spec)
+    assert_parity(res, handle)
+    assert handle.counters() == res.counters
+
+
+def test_handoff_worker_death_is_retried(ray_session, tmp_path):
+    """The read-only hand-off wave's fetch worker exits on its first page:
+    Ray retries the task, the state stays in the driver, and the crawl
+    equals a clean run in crawl order, seen parts, documents, counters and
+    lineage markers."""
+    from tests.test_seen_parts import _seen_parts
+    from tests.test_wave_fetch import _crash_once, _lineage
+
+    web, seeds = webs.handoff_web(3)
+    runs = {}
+    for name in ("clean", "crash"):
+        marker = str(tmp_path / f"{name}.marker")
+        if name == "clean":
+            open(marker, "w").close()  # nothing exits
+        spec = CrawlSpec(delay=0.05, on_every_page=_crash_once(marker, os.getpid()))
+        out = str(tmp_path / name)
+        state = ShardedState(4)
+        try:
+            runs[name] = (out, crawl(web, seeds, spec, out, state=state, **HANDOFF_KW))
+            assert not state.promoted
+        finally:
+            state.shutdown()
+        assert os.path.exists(marker)
+    (clean_out, clean), (crash_out, crashed) = runs["clean"], runs["crash"]
+    assert_parity(crawl_oracle(web, seeds, HANDOFF_SPEC), crashed)
+    assert crashed.crawl_order().take_all() == clean.crawl_order().take_all()
+    assert crashed.counters() == clean.counters()
+    assert _lineage(crash_out) == _lineage(clean_out)
+    docs = lambda h: sorted((r["doc_id"], str(r["spans"])) for r in h.documents().take_all())
+    assert docs(crashed) == docs(clean)
+    assert _seen_parts(crash_out) == _seen_parts(clean_out)
 
 
 _ONE_CPU_CRAWL = """

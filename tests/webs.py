@@ -196,6 +196,27 @@ def dead_link_web():
     return web_table(pages), [page_url("p0")]
 
 
+def handoff_web(levels=3):
+    """A crawl whose frontier outgrows a small-wave threshold of 20 while
+    its committed jobs stay within it: r links a0..a2; each a links r, every
+    a and four b pages of its own (wave 2: 24 candidate rows, 12 new). With
+    levels=4 each b also links r, every a and one c page of its own
+    (wave 3: 60 candidate rows, 12 new)."""
+    back = ["r", "a0", "a1", "a2"]
+    pages = [FakePage(name="r", links=["a0", "a1", "a2"])]
+    pages += [
+        FakePage(name=f"a{i}", links=back + [f"b{4 * i + j}" for j in range(4)])
+        for i in range(3)
+    ]
+    pages += [
+        FakePage(name=f"b{k}", links=back + [f"c{k}"] if levels > 3 else [])
+        for k in range(12)
+    ]
+    if levels > 3:
+        pages += [FakePage(name=f"c{k}") for k in range(12)]
+    return web_table(pages), [page_url("r")]
+
+
 def cookie_web():
     pages = [
         FakePage(name="p0", links=["p1"], set_cookie="session=abc123; Path=/"),
