@@ -6,7 +6,8 @@ Wave lifecycle (SURVEY §3.4):
       → admit_frontier              (in-wave first-wins claims + anti-join
                                      vs committed seen shards, one RPC)
       → zip_with_index              (deterministic global seq; sort shuffle)
-      → assign_slots                (groupby(host) politeness clocks)
+      → job_limit cut + slot_block  (on the driver: spill the tail, per-host
+                                     politeness clocks for the head)
       → [checkpoint frontier_d]     (the wave's durable work list)
       → fetch + extract             (FetchExtract; parse-extract fused)
       → write raw/wave=d            (parts named by min seq; retry-safe)
@@ -18,24 +19,26 @@ Wave lifecycle (SURVEY §3.4):
 Two planners make a wave's slotted job table. A wave of at most
 ``small_wave_threshold`` candidate rows is planned as in-process Arrow ops
 on the driver (``_plan_wave_local``); a larger one by the distributed
-planner, a Ray Data pipeline (claims, admission, seq sort, budget and trap
-gates, spill, ``assign_slots``) whose materialized output is collected to
-the driver. From there every wave takes one path: the driver writes its
-frontier part and fetches the table in-process when it has at most
-``driver_fetch_threshold`` jobs, else by plain Ray tasks over contiguous
-slices of it (``_fetch_slice``, host lanes on a real network), each
-writing its own raw parts; the driver then marks the seen delta and
+planner, a Ray Data pipeline (claims, admission, budget and trap gates,
+seq sort) whose seq-stamped output is collected to the driver. Both
+planners end in one driver-side tail (``_slot_jobs``): cut the
+job_limit spill off the seq-ordered rows, then assign the politeness slots
+of the rest. From there every wave takes one path: the driver writes its
+spill and frontier parts and fetches the table in-process when it has at
+most ``driver_fetch_threshold`` jobs, else by plain Ray tasks over
+contiguous slices of it (``_fetch_slice``, host lanes on a real network),
+each writing its own raw parts; the driver then marks the seen delta and
 commits. The crawl state (seen set, clocks, budgets, claims) starts in the
 driver, and the tasks of a distributed plan that only read it (admission,
-budget and trap gates, slotting) get a read-only copy of it; the driver
-writes it at commit, after the plan has run. It moves into ``StateShard``
-actors only when a task must write to it — the fallback claim pass, the
-job_limit spill writer, a resume replay — or once the committed job count
-passes the threshold (state/shards.py ``ShardedState``). Only
-distributed-planned waves on a promoted state register next-wave claims,
-from their fetch output; a driver frontier handed to the distributed
-planner is first-wins deduped on the driver, and a distributed plan whose
-candidates nobody claimed runs the fallback claim pass.
+budget and trap gates) get a read-only copy of it; the driver writes it at
+commit, after the plan has run. It moves into ``StateShard`` actors only
+when a task must write to it — the fallback claim pass, a resume replay —
+or once the committed job count passes the threshold (state/shards.py
+``ShardedState``). Only distributed-planned waves on a promoted state
+register next-wave claims: the driver for their spill, their fetch tasks
+for the children; a driver frontier handed to the distributed planner is
+first-wins deduped on the driver, and a distributed plan whose candidates
+nobody claimed runs the fallback claim pass.
 
 Durability/commit protocol (north_rule resumability): per wave the engine
 writes (1) the slotted frontier, (2) the raw fetch output, (3) one seen
@@ -76,10 +79,15 @@ from ..stages.frontier_ops import (
     explode_children,
 )
 from ..stages.indexing import zip_with_index
-from ..stages.politeness import assign_slots, build_chain_latency_index
+from ..stages.politeness import build_chain_latency_index
 
 # candidate-row schema shared by seeds, explode_children, and spill
 _FRONTIER_COLS = ["url", "canonical_url", "host", "referer", "depth", "parent_seq", "ordinal"]
+# the raw columns explode_children reads
+_CHILD_COLS = [
+    "url", "seq", "depth", "child_urls", "child_canonical_urls", "child_hosts",
+    "child_ordinal_base",
+]
 
 META_COLS = [
     "url",
@@ -459,55 +467,45 @@ def _plan_wave_local(
 ) -> tuple[pa.Table, pa.Table]:
     """Driver-side wave planning for small waves (≤ small_wave_threshold).
 
-    Semantically identical to the distributed path (claims + admit_frontier
-    → zip_with_index → assign_slots) but as in-process Arrow
-    ops: below the threshold the wave's metadata is tiny (≈100 B/row) and
-    five Ray Data executions per wave cost more than they parallelize.
+    Semantically identical to the distributed planner (claims +
+    admit_frontier → budget and trap gates → zip_with_index) but as
+    in-process Arrow ops: below the threshold the wave's metadata is tiny
+    (≈100 B/row) and Ray Data executions cost more than they parallelize.
+    Both planners end in the same driver-side tail, ``_slot_jobs``.
     Membership, budget and clock reads go through ``state``: direct calls
     while its partitions are still in the driver, one batched call per shard
-    actor once promoted. The distributed path remains the ≥-threshold route
-    and is exercised in tests via small_wave_threshold=0."""
+    actor once promoted. The distributed planner remains the ≥-threshold
+    route and is exercised in tests via small_wave_threshold=0."""
     import numpy as np
 
     if spec.follow_links and cand.num_rows:
         cand = _dedup_batch(cand)  # in-wave first-wins
         unseen = state.check(cand.column("canonical_url").to_pylist())
         cand = cand.filter(pa.array(unseen))
-
-    spill = cand.slice(0, 0)
     if cand.num_rows == 0:
-        return cand, spill
+        return cand, cand
 
     # processing order: priority-first when a priority_fn is set (the
     # north-rule priority queue; with job_limit the cap keeps the
     # top-priority jobs), else pure (parent_seq, ordinal) BFS order
+    keyed = cand
+    sort_keys = [("parent_seq", "ascending"), ("ordinal", "ascending")]
     if spec.priority_fn is not None:
         prio = pa.array(
             [int(spec.priority_fn(r)) for r in cand.to_pylist()], pa.int64()
         )
-        cand = cand.append_column("prio", prio)
-        sort_keys = [
-            ("prio", "descending"),
-            ("parent_seq", "ascending"),
-            ("ordinal", "ascending"),
-        ]
-    else:
-        sort_keys = [("parent_seq", "ascending"), ("ordinal", "ascending")]
-    order = pc.sort_indices(cand, sort_keys=sort_keys)
-    cand = cand.take(order)
+        keyed = cand.append_column("prio", prio)
+        sort_keys.insert(0, ("prio", "descending"))
+    cand = cand.take(pc.sort_indices(keyed, sort_keys=sort_keys))
     # per-host crawl budget: keep each host's first remaining-budget rows in
     # processing order; dropped rows are neither spilled nor seen-marked
-    if spec.max_pages_per_host is not None and cand.num_rows:
+    if spec.max_pages_per_host is not None:
         from ..stages.politeness import budget_filter_block
 
         uniq_hosts = list(dict.fromkeys(cand.column("host").to_pylist()))
         cand = budget_filter_block(
             cand, state.get_sched(uniq_hosts), spec.max_pages_per_host
         )
-        if cand.num_rows == 0:
-            return cand.drop_columns(
-                ["prio"] if "prio" in cand.column_names else []
-            ), spill
     # crawl-trap guard: same gate keyed by (host, URL skeleton) — applied
     # after the host budget, in the same processing order
     if spec.trap_guard is not None and cand.num_rows:
@@ -520,40 +518,45 @@ def _plan_wave_local(
             cand, state.get_sched(list(dict.fromkeys(tk))), spec.trap_guard,
             key_col="_trap",
         ).drop_columns(["_trap"])
-        if cand.num_rows == 0:
-            return cand.drop_columns(
-                ["prio"] if "prio" in cand.column_names else []
-            ), spill
-    # job_limit throttle: cap the wave, spill the (post-dedup, still-sorted)
-    # remainder for the next wave's pool (batch_job.rb:229-241)
-    if spec.job_limit is not None and cand.num_rows > spec.job_limit:
-        spill = cand.slice(spec.job_limit)
-        cand = cand.slice(0, spec.job_limit)
-    if "prio" in cand.column_names:
-        cand = cand.drop_columns(["prio"])
-        if "prio" in spill.column_names:
-            spill = spill.drop_columns(["prio"])
+    if cand.num_rows == 0:
+        return cand, cand
     n = cand.num_rows
     cand = cand.append_column(
         "seq", pa.array(np.arange(base_seq, base_seq + n, dtype=np.int64))
     )
+    return _slot_jobs(cand, state, chain_idx, delay_ms, spec, host_delays)
 
+
+def _slot_jobs(
+    jobs: pa.Table, state, chain_idx, delay_ms: int, spec,
+    host_delays: dict[str, int] | None,
+) -> tuple[pa.Table, pa.Table]:
+    """The driver-side tail of both planners, over a wave's admitted rows in
+    seq order (seq dense from the wave's first): the job_limit throttle
+    spills the rows past the cap, without seq — it is re-assigned when they
+    re-enter a wave plan, landing on the same value because spilled rows
+    sort before any newer children (batch_job.rb:229-241) — and the kept
+    rows get their politeness slots from the committed per-host clocks
+    (and, with adaptive politeness, committed latency stats) in one
+    vectorized ``slot_block`` pass. Returns (slotted jobs, spill)."""
     from ..stages.politeness import adaptive_host_delays, slot_block
 
-    uniq_hosts = list(dict.fromkeys(cand.column("host").to_pylist()))
+    spill = jobs.slice(0, 0)
+    if spec.job_limit is not None and jobs.num_rows > spec.job_limit:
+        spill = jobs.slice(spec.job_limit)
+        jobs = jobs.slice(0, spec.job_limit)
+    uniq_hosts = list(dict.fromkeys(jobs.column("host").to_pylist()))
     clocks = state.get_clocks(uniq_hosts)
     if spec.adaptive_delay_pct is not None:
         host_delays = adaptive_host_delays(
             uniq_hosts, delay_ms, host_delays,
             spec.adaptive_delay_pct, state.get_lat(uniq_hosts),
         )
-    # vectorized per-host serial slots (rows already in seq order) — the
-    # same kernel the distributed ShardSlotAssigner runs per host-shard
-    cand = slot_block(
-        cand, clocks, chain_idx, delay_ms, host_delays,
+    jobs = slot_block(
+        jobs, clocks, chain_idx, delay_ms, host_delays,
         conns=spec.host_connections,
     )
-    return cand, spill
+    return jobs, spill.drop_columns(["seq"])
 
 
 def _host_commit(wave_tbl: pa.Table) -> tuple[dict, dict, dict]:
@@ -674,11 +677,12 @@ def crawl(
 
     Planners: a wave of at most small_wave_threshold candidate rows is
     planned on the driver, a larger one by the distributed (Ray Data)
-    planner — semantically identical; 0 forces the distributed planner. The
+    planner — semantically identical, and ending in the same driver-side
+    job_limit cut and slotting; 0 forces the distributed planner. The
     crawl state stays in the driver, and a distributed plan's tasks read a
     copy of it, until a task must write to it (a fallback claim pass, a
-    job_limit spill, a resume replay) or the committed job count passes the
-    threshold; then it moves into shard actors (ShardedState).
+    resume replay) or the committed job count passes the threshold; then it
+    moves into shard actors (ShardedState).
 
     Fetch, whichever planner made the wave: a wave of at most
     driver_fetch_threshold jobs is fetched in the driver process; a larger
@@ -741,6 +745,32 @@ def _collect_if_small(ds: rd.Dataset, threshold: int) -> tuple[pa.Table | None, 
     if ds.count() <= threshold:
         return _driver_table(ds), ds
     return None, ds
+
+
+def _disk_frontier(
+    out_dir: str, wave: int, spec, threshold: int
+) -> tuple[pa.Table | None, rd.Dataset]:
+    """The frontier after committed wave *wave*, read from its parts on
+    disk: its fetched pages' children (unless curl mode) plus its job_limit
+    spill, collected to the driver iff it is small (``_collect_if_small``).
+    Resume and the wave after a distributed-planned one start here."""
+    parts = []
+    if spec.follow_links:
+        parts.append(
+            rd.read_parquet(_wave_dir(out_dir, "raw", wave), columns=_CHILD_COLS)
+            .map_batches(explode_children, batch_format="pyarrow")
+        )
+    spill_dir = _wave_dir(out_dir, "spill", wave)
+    if glob.glob(os.path.join(spill_dir, "*.parquet")):
+        parts.append(
+            rd.read_parquet(spill_dir).map_batches(
+                lambda t: t.select(_FRONTIER_COLS), batch_format="pyarrow"
+            )
+        )
+    if not parts:  # a curl crawl with nothing left to do
+        parts.append(rd.from_arrow(pa.table({c: [] for c in _FRONTIER_COLS})))
+    ds = parts[0] if len(parts) == 1 else parts[0].union(parts[1])
+    return _collect_if_small(ds, threshold)
 
 
 def _driver_table(ds: rd.Dataset) -> pa.Table:
@@ -820,45 +850,6 @@ def _fetch_slice(fetch_fn, tbl: pa.Table, lo: int, hi: int, raw_dir: str,
     return wall_waits()
 
 
-def _spill_split_writer(
-    spill_dir: str, cutoff: int, state: ShardedState, claim_wave: int
-):
-    """map_batches stage fusing the job_limit spill into the wave plan: rows
-    with seq >= cutoff are written to *spill_dir* (sans seq — re-assigned
-    when they re-enter a wave plan, landing on the same value because
-    spilled rows sort before any newer children) and the sub-cutoff head is
-    passed on. One pass over the stamped blocks instead of a separate
-    tail-write execution. Part naming and retry-idempotence as in
-    _passthrough_part_writer (min seq is globally unique per wave).
-
-    Spilled rows also register first-wins claims on *state* (they
-    re-enter wave *claim_wave*'s candidate pool alongside that wave's
-    children; idempotent min-merge, so retries are safe). Its tasks write
-    to the state, so it promotes the state first."""
-    import pyarrow.parquet as pq
-
-    state.promote()
-
-    def split(t: pa.Table) -> pa.Table:
-        tail = t.filter(pc.greater_equal(t.column("seq"), cutoff))
-        if tail.num_rows:
-            os.makedirs(spill_dir, exist_ok=True)
-            lo = pc.min(tail.column("seq")).as_py()
-            pq.write_table(
-                tail.drop_columns(["seq"]),
-                os.path.join(spill_dir, f"part-{lo:012d}.parquet"),
-            )
-            state.claim_frontier(
-                claim_wave,
-                tail.column("canonical_url").to_pylist(),
-                tail.column("parent_seq").to_numpy(zero_copy_only=False),
-                tail.column("ordinal").to_numpy(zero_copy_only=False),
-            )
-        return t.filter(pc.less(t.column("seq"), cutoff))
-
-    return split
-
-
 def _crawl_inner(
     web, seeds, spec, out_dir, state,
     *, fetch_batch_size,
@@ -891,20 +882,15 @@ def _crawl_inner(
         # is computed from the URL (no O(web) driver-side setup at all)
         web_ref = ray.put(web)
         chain_idx = web
-    chain_idx_ref = ray.put(chain_idx)
     delay_ms = int(spec.delay * 1000)
     # robots Crawl-delay compliance: per-host delay overrides (bounded by
-    # hosts-with-robots), built once and broadcast like the latency index.
-    # The procedural web carries no robots rows → no overrides.
+    # hosts-with-robots), built once like the latency index. The procedural
+    # web carries no robots rows → no overrides.
     host_delays: dict[str, int] | None = None
-    host_delays_ref = None
     if spec.obey_crawl_delay and isinstance(web, pa.Table):
         from ..stages.politeness import build_host_delays
 
-        host_delays = build_host_delays(web, spec)
-        host_delays_ref = ray.put(host_delays) if host_delays else None
-        if not host_delays:
-            host_delays = None
+        host_delays = build_host_delays(web, spec) or None
     crawl_id = uuid.uuid4().hex
     ncpus = int(ray.cluster_resources().get("CPU", 4))
 
@@ -970,27 +956,8 @@ def _crawl_inner(
             if fr_tbl.num_rows > small_wave_threshold:
                 fr_ds, fr_tbl = rd.from_arrow(fr_tbl), None
     else:
-        # resumed frontier = children of the last committed wave + its spill
-        spill_prev = _wave_dir(out_dir, "spill", start_wave - 1)
-        spill_ds = (
-            rd.read_parquet(spill_prev).map_batches(
-                lambda t: t.select(_FRONTIER_COLS), batch_format="pyarrow"
-            )
-            if glob.glob(os.path.join(spill_prev, "*.parquet"))
-            else None
-        )
-        if spec.follow_links:
-            raw_prev = _wave_dir(out_dir, "raw", start_wave - 1)
-            fr_ds = rd.read_parquet(
-                raw_prev, columns=["url", "seq", "depth", "child_urls", "child_canonical_urls", "child_hosts", "child_ordinal_base"]
-            ).map_batches(explode_children, batch_format="pyarrow")
-            if spill_ds is not None:
-                fr_ds = fr_ds.union(spill_ds)
-        elif spill_ds is not None:
-            fr_ds = spill_ds
-        else:  # curl crawl fully committed — nothing left to do
-            fr_ds = rd.from_arrow(pa.table({c: [] for c in _FRONTIER_COLS}))
-        fr_tbl, fr_ds = _collect_if_small(fr_ds, small_wave_threshold)
+        # resumed frontier: from the last committed wave's parts
+        fr_tbl, fr_ds = _disk_frontier(out_dir, start_wave - 1, spec, small_wave_threshold)
 
     driver_fx: FetchExtract | None = None  # in-process fetcher for tiny waves
 
@@ -1003,7 +970,7 @@ def _crawl_inner(
         )
 
     # claim-based in-wave dedup. claims_ready: wave W's candidates were
-    # claimed by the fetch of distributed-planned wave W-1, or deduped on
+    # claimed by distributed-planned wave W-1 (spill and fetch), or deduped on
     # the driver after a driver-planned wave — False for the first planned
     # wave (seeds, resume)
     claims_ready = False
@@ -1020,8 +987,6 @@ def _crawl_inner(
         seen_dir = _wave_dir(out_dir, "seen", wave)
         spill_dir = _wave_dir(out_dir, "spill", wave)
         local = fr_tbl is not None
-        spill_tbl: pa.Table | None = None  # local-mode spill (also on disk)
-        spilled = False
 
         # --- plan the wave (dedup → seen anti-join → seq → politeness) ---
         if local:
@@ -1033,22 +998,19 @@ def _crawl_inner(
             )
             if fm_tbl.num_rows == 0:
                 break
-            if spill_tbl.num_rows:
-                spilled = True
-                os.makedirs(spill_dir, exist_ok=True)
-                pq.write_table(spill_tbl, os.path.join(spill_dir, "part-0.parquet"))
         else:
             # the plan's tasks only read the state (the driver writes it at
             # commit, after the plan has run): an unpromoted state reaches
-            # them as a read-only copy. Its writers — the fallback claim
-            # pass and the spill writer — promote it first
+            # them as a read-only copy. Its one writer, the fallback claim
+            # pass, promotes it first
             f = fr_ds
             if spec.follow_links:
-                # candidates were claimed by their PRODUCING execution (fetch
-                # tasks / spill writer); the in-wave dedup + seen anti-join
-                # is one map-side RPC filter — no shuffle. Seed waves and
-                # resume replans had no producing execution → fallback claim
-                # pass (its materialize is the registration barrier).
+                # candidates were claimed by their PRODUCERS (the previous
+                # wave's fetch tasks, the driver for its spill); the in-wave
+                # dedup + seen anti-join is one map-side RPC filter — no
+                # shuffle. Seed waves and resume replans had no producer
+                # that claimed → fallback claim pass (its materialize is
+                # the registration barrier).
                 if not claims_ready:
                     f = claim_candidates(f, state, wave)
                 f = admit_frontier(f, state, wave)
@@ -1096,30 +1058,38 @@ def _crawl_inner(
             )
             if n_jobs == 0:
                 break
-            if spec.job_limit is not None and n_jobs > spec.job_limit:
-                # cap the wave at job_limit; the split writer spills the
-                # sorted remainder and forwards the head in one pass, fused
-                # into the plan's execution (no separate tail-write execution)
-                spilled = True
-                f = f.map_batches(
-                    _spill_split_writer(
-                        spill_dir, next_seq + spec.job_limit,
-                        state=state, claim_wave=wave + 1,
-                    ),
-                    batch_format="pyarrow",
-                )
-            f = assign_slots(
-                f, state, chain_idx_ref, delay_ms,
-                host_delays_ref=host_delays_ref,
-                adaptive_pct=spec.adaptive_delay_pct,
-                conns=spec.host_connections,
-            )
-            # the plan ends on the driver: its slotted job table, seq-sorted
-            fm_tbl = _driver_table(f.materialize()).sort_by("seq")
+            # the plan ends at seq: its stamped rows come to the driver
+            # (zip_with_index's output is already materialized) and take
+            # the driver planner's tail
+            fm_tbl = _driver_table(f).sort_by("seq")
             if "neg_prio" in fm_tbl.column_names:
                 fm_tbl = fm_tbl.drop_columns(["neg_prio"])
+            fm_tbl, spill_tbl = _slot_jobs(
+                fm_tbl, state, chain_idx, delay_ms, spec, host_delays
+            )
 
         # --- from here on one path, whichever planner made the wave ---
+        # a distributed-planned wave on a promoted state registers the
+        # next-wave first-wins claims of the candidates it produces: its
+        # spill (here, from the driver) and its children (from each fetched
+        # part), so the next distributed plan needs no claim pass. A
+        # driver-planned wave registers none: its successor is planned on
+        # the driver, or first-wins deduped there before a distributed plan.
+        # Neither does a wave whose state is still in the driver
+        # (registering from a fetch task would promote it): a distributed
+        # plan after it runs the fallback claim pass
+        claims_next = spec.follow_links and not local and state.promoted
+        spilled = spill_tbl.num_rows > 0
+        if spilled:
+            os.makedirs(spill_dir, exist_ok=True)
+            pq.write_table(spill_tbl, os.path.join(spill_dir, "part-0.parquet"))
+            if claims_next:
+                state.claim_frontier(
+                    wave + 1,
+                    spill_tbl.column("canonical_url").to_pylist(),
+                    spill_tbl.column("parent_seq").to_numpy(zero_copy_only=False),
+                    spill_tbl.column("ordinal").to_numpy(zero_copy_only=False),
+                )
         n_jobs = fm_tbl.num_rows
         fm_tbl = fm_tbl.append_column("wave", pa.array([wave] * n_jobs, pa.int32()))
         os.makedirs(fdir, exist_ok=True)
@@ -1138,17 +1108,7 @@ def _crawl_inner(
         )
 
         # --- fetch + extract → durable raw parts ---
-        # a distributed-planned wave on a promoted state registers its
-        # children's next-wave first-wins claims from each fetched part, so
-        # the next distributed plan needs no claim pass. A driver-planned
-        # wave registers none: its successor is planned on the driver, or
-        # first-wins deduped there before a distributed plan. Neither does a
-        # wave whose state is still in the driver (registering would promote
-        # it): a distributed plan after it runs the fallback claim pass
-        claim = (
-            ClaimChildren(state, wave + 1)
-            if spec.follow_links and not local and state.promoted else None
-        )
+        claim = ClaimChildren(state, wave + 1) if claims_next else None
         if n_jobs <= driver_fetch_threshold:
             # in-process: a task round trip costs more than it parallelizes
             if driver_fx is None:
@@ -1179,10 +1139,18 @@ def _crawl_inner(
                 hold_wall_waits(w)
 
         # --- seen delta (job urls + fetched page urls) + commit ---
+        # one read of the wave's raw parts, of the columns the commit needs:
+        # the seen delta, the cookie jar, the lineage metrics and, for a
+        # driver-planned wave, the children of the next frontier
+        raw_cols = ["fetched", "not_modified"]
+        if spec.follow_links:
+            raw_cols += ["canonical_url"] + (_CHILD_COLS if local else [])
+        if spec.accept_cookies:
+            raw_cols += ["url", "seq", "chain_pos", "set_cookie"]
+        raw = pq.read_table(raw_dir, columns=list(dict.fromkeys(raw_cols)))
         # curl mode marks nothing (no bloom in BatchCurlJob, batch_curl_job.rb)
         if spec.follow_links:
-            raw_meta = pq.read_table(raw_dir, columns=["canonical_url", "fetched"])
-            fetched_canon = raw_meta.filter(raw_meta.column("fetched")).column(
+            fetched_canon = raw.filter(raw.column("fetched")).column(
                 "canonical_url"
             ).to_pylist()
             state.add(
@@ -1226,13 +1194,10 @@ def _crawl_inner(
             from ..canon import host_of as _host_of
             from ..stages.cookies import merge_committed_header
 
-            ck = pq.read_table(
-                raw_dir, columns=["url", "seq", "chain_pos", "set_cookie", "fetched"]
-            )
             mask = pc.and_(
-                pc.not_equal(ck.column("set_cookie"), ""), ck.column("fetched")
+                pc.not_equal(raw.column("set_cookie"), ""), raw.column("fetched")
             )
-            ck = ck.filter(mask)
+            ck = raw.filter(mask)
             if ck.num_rows:
                 order = pc.sort_indices(
                     ck, sort_keys=[("seq", "ascending"), ("chain_pos", "ascending")]
@@ -1257,22 +1222,12 @@ def _crawl_inner(
             hook_counters,
         )
         # per-wave metrics (the lineage-marker telemetry a resumed or
-        # monitored crawl reads without touching the data): raw row count
-        # from parquet FOOTERS (no data read) + fetched count from a single
-        # bool column — bounded cost at any wave size
-        n_raw_rows, n_fetched, n_not_modified = 0, 0, 0
-        for part_file in sorted(glob.glob(os.path.join(raw_dir, "*.parquet"))):
-            # one ParquetFile handle per part (footer + two bool columns);
-            # NOT read_table: the wave=N dir name would be hive-parsed into
-            # a dictionary column clashing with the in-file int32 "wave"
-            pf = pq.ParquetFile(part_file)
-            n_raw_rows += pf.metadata.num_rows
-            cols_nm = pf.read(columns=["fetched", "not_modified"])
-            fcol = cols_nm.column("fetched")
-            n_fetched += int(pc.sum(pc.cast(fcol, pa.int64())).as_py() or 0)
-            n_not_modified += int(
-                pc.sum(pc.cast(cols_nm.column("not_modified"), pa.int64())).as_py() or 0
-            )
+        # monitored crawl reads without touching the data)
+        n_raw_rows = raw.num_rows
+        n_fetched = int(pc.sum(pc.cast(raw.column("fetched"), pa.int64())).as_py() or 0)
+        n_not_modified = int(
+            pc.sum(pc.cast(raw.column("not_modified"), pa.int64())).as_py() or 0
+        )
         write_json(
             os.path.join(out_dir, "lineage", f"wave={wave:05d}.json"),
             {
@@ -1324,17 +1279,13 @@ def _crawl_inner(
 
         # --- next frontier (children of this wave + spilled remainder) ---
         if local:
+            fr_tbl = spill_tbl.select(_FRONTIER_COLS)  # curl mode: drain it
             if spec.follow_links:
-                raw_children = pq.read_table(
-                    raw_dir, columns=["url", "seq", "depth", "child_urls", "child_canonical_urls", "child_hosts", "child_ordinal_base"]
+                kids = explode_children(raw.select(_CHILD_COLS))
+                fr_tbl = (
+                    pa.concat_tables([kids.select(_FRONTIER_COLS), fr_tbl])
+                    if spilled else kids
                 )
-                fr_tbl = explode_children(raw_children)
-                if spill_tbl is not None and spill_tbl.num_rows:
-                    fr_tbl = pa.concat_tables(
-                        [fr_tbl.select(_FRONTIER_COLS), spill_tbl.select(_FRONTIER_COLS)]
-                    )
-            else:  # curl mode: no children, drain the spill
-                fr_tbl = spill_tbl.select(_FRONTIER_COLS)
             fr_ds = None
             if fr_tbl.num_rows > small_wave_threshold:
                 # hand off to the distributed planner: this wave registered
@@ -1344,22 +1295,7 @@ def _crawl_inner(
                     fr_tbl = _dedup_batch(fr_tbl)
                 fr_ds, fr_tbl = rd.from_arrow(fr_tbl), None
         else:
-            spill_ds = (
-                rd.read_parquet(spill_dir).map_batches(
-                    lambda t: t.select(_FRONTIER_COLS), batch_format="pyarrow"
-                )
-                if spilled
-                else None
-            )
-            if spec.follow_links:
-                fr_ds = rd.read_parquet(
-                    raw_dir, columns=["url", "seq", "depth", "child_urls", "child_canonical_urls", "child_hosts", "child_ordinal_base"]
-                ).map_batches(explode_children, batch_format="pyarrow")
-                if spill_ds is not None:
-                    fr_ds = fr_ds.union(spill_ds)
-            else:
-                fr_ds = spill_ds
-            fr_tbl, fr_ds = _collect_if_small(fr_ds, small_wave_threshold)
+            fr_tbl, fr_ds = _disk_frontier(out_dir, wave, spec, small_wave_threshold)
         if total_jobs > small_wave_threshold:
             # memory bound: past one small wave's worth of committed jobs the
             # state no longer belongs in the driver

@@ -75,7 +75,8 @@ def _cluster_shards(floor: int = _DEDUP_SHARDS) -> int:
 # A dedup groupby would move every candidate row through an all-to-all
 # hash shuffle each wave. The claim protocol avoids it: whoever PRODUCES a
 # candidate in a distributed-planned wave (the fetch task emitting
-# children, the spill writer, the seeds pass) registers a first-wins claim —
+# children, the driver cutting the job_limit spill, the seeds pass)
+# registers a first-wins claim —
 # canonical_url → min (parent_seq, ordinal) — on the same state shards that
 # hold the seen set (idempotent min-merge, so task retries are safe). The
 # producing wave's execution is the barrier: by the time wave W+1 plans,
@@ -85,7 +86,8 @@ def _cluster_shards(floor: int = _DEDUP_SHARDS) -> int:
 # in-wave dedup and the cross-wave anti-join in ONE batched RPC per shard
 # per block, moving (key, 2 ints) instead of whole frontier rows.
 # Registering writes the state from tasks, so only a promoted state takes
-# claims from a fetch; a wave fetched while the state is still in the
+# claims from a fetch (and then from the driver for the spill, so a wave's
+# claims are all or none); a wave planned while the state is still in the
 # driver registers none, and the next distributed plan runs the fallback
 # pass (`claim_candidates`), which promotes.
 

@@ -3,9 +3,9 @@
 The reference enforces politeness with a serial ``sleep(delay)`` before each
 job inside a batch (batch_job.rb:178-183) plus emergent per-host connection
 serialization (http.rb:219-240). Here the constraint is made explicit and
-turned into *data*: a ``groupby(host)`` shuffle guarantees one task owns all
-of a host's jobs in a wave; that task reads the host's persistent virtual
-clock from its state shard and assigns each job a fetch slot
+turned into *data*: whichever planner made a wave, its seq-ordered job table
+ends on the driver, which reads each host's persistent virtual clock from
+the crawl state and assigns every job a fetch slot in one vectorized pass
 
     t_i = clock + (i+1)*delay + sum_{j<i} chain_latency_j
 
@@ -15,19 +15,21 @@ batch_crawl_job.rb:139-153 generalized), so an uncommitted wave recomputes
 identical slots on resume — resumability never violates the politeness
 budget.
 
-Skew note: a hot host concentrates rows in one group here, but slot
-assignment is a vectorized cumsum (O(n) numpy); the expensive fetch+extract
-runs *afterwards* as tasks over contiguous seq slices of the wave's job
-table, so host skew does not serialize real work. At real
-network scale the fetcher sleeps until its slot; throughput on a hot host is
-then bounded by the politeness budget itself, which no scheduler can beat.
+Skew note: slot assignment is a per-host cumsum over the whole wave (O(n)
+numpy, no per-host Python), so a hot host costs no more than its rows; the
+expensive fetch+extract runs *afterwards* as tasks over contiguous seq
+slices of the wave's job table, so host skew does not serialize real work.
+At real network scale the fetcher sleeps until its slot; throughput on a
+hot host is then bounded by the politeness budget itself, which no
+scheduler can beat. The per-host budget and trap gates, which run before
+seq is stamped, stay distributed on the distributed planner
+(``enforce_host_budget``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data as rd
 
 from ..canon import canonical_url
@@ -167,8 +169,8 @@ def adaptive_host_delays(
     host's COMMITTED mean observed job latency) — a slow origin is backed
     off proportionally, integer-exact ((pct·sum)//(100·n), no float). Stats
     commit with the wave like the clocks, so both planners and a resumed
-    crawl compute identical delays. Shared by the driver planner, the shard
-    assigner, and the oracle."""
+    crawl compute identical delays. Shared by the planners' slot tail and
+    the oracle."""
     out = dict(host_delays or {})
     for h in hosts:
         s, n = lat.get(h, (0, 0))
@@ -183,8 +185,8 @@ def slot_block(
     tbl: pa.Table, clocks: dict[str, int], chain_idx, delay_ms: int,
     host_delays: dict[str, int] | None = None, conns: int = 1,
 ) -> pa.Table:
-    """Vectorized multi-host slot assignment over one table whose rows are
-    already in seq order. Per host (pandas groupby over the whole block, no
+    """Vectorized multi-host slot assignment over a wave's job table, rows
+    already in seq order. Per host (pandas groupby over the whole table, no
     per-host Python):
 
         t_i = clock_host + (k_i+1)*delay + exclusive-cumsum(chain latency)
@@ -197,8 +199,8 @@ def slot_block(
     serial kernel runs, grouped by (host, lane) with the host's clock and
     delay.
 
-    Shared by the driver-side planner (_plan_wave_local) and the distributed
-    shard assigner below so the politeness model cannot drift between paths.
+    Both planners slot their waves with it, on the driver, in the tail
+    they share (pipelines/crawl.py ``_slot_jobs``).
     """
     import pandas as pd
 
@@ -259,7 +261,7 @@ class ShardBudgetFilter:
     """map_groups callable for groupby(key-hash shard): every row of a key
     lands in one shard, so the per-key cumcount is exact. One batched
     scheduled-count RPC per shard per wave (ShardedState.get_sched), never
-    one per key — the assign_slots pattern applied to the budget gate."""
+    one per key."""
 
     def __init__(self, state, budget: int, sort_cols: list[str], key_col: str = "host"):
         self.state = state
@@ -292,7 +294,7 @@ def enforce_host_budget(
     from .frontier_ops import _cluster_shards
 
     if n_shards is None:
-        n_shards = _cluster_shards(_SLOT_SHARDS)
+        n_shards = _cluster_shards()
 
     def add_shard(t: pa.Table) -> pa.Table:
         sh = shards_of(t.column(key_col).to_pylist(), n_shards)
@@ -305,81 +307,3 @@ def enforce_host_budget(
 
     ds = ds.map_batches(add_shard, batch_format="pyarrow")
     return ds.groupby("_bshard").map_groups(apply, batch_format="pyarrow")
-
-
-# Host-hash shard floor for the slot-assignment shuffle: fine at any host
-# cardinality (the per-group map_groups overhead is paid per shard, not per
-# host — batch_job.rb:178-183's per-host serialization is preserved because
-# every row of a host hashes to the same shard). The actual count scales
-# with cluster CPUs (frontier_ops._cluster_shards).
-_SLOT_SHARDS = 64
-
-
-class ShardSlotAssigner:
-    """map_groups callable for groupby(host-hash shard): adds fetch_time_ms
-    and job_end_ms via the vectorized multi-host kernel. One *batched* clock
-    RPC per shard per wave (ShardedState.get_clocks fans it out per state
-    shard), never one per host."""
-
-    def __init__(
-        self, state, chain_idx_ref, delay_ms: int, host_delays_ref=None,
-        adaptive_pct: int | None = None, conns: int = 1,
-    ):
-        self.state = state
-        self.chain_idx_ref = chain_idx_ref
-        self.delay_ms = delay_ms
-        self.host_delays_ref = host_delays_ref
-        self.adaptive_pct = adaptive_pct
-        self.conns = conns
-        self._chain_idx = None
-        self._host_delays = None
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if self._chain_idx is None:
-            self._chain_idx = ray.get(self.chain_idx_ref)
-            self._host_delays = (
-                ray.get(self.host_delays_ref)
-                if self.host_delays_ref is not None
-                else None
-            )
-        group = group.drop_columns(["_hshard"])
-        order = pa.compute.sort_indices(group, sort_keys=[("seq", "ascending")])
-        group = group.take(order)
-        uniq_hosts = list(dict.fromkeys(group.column("host").to_pylist()))
-        clocks = self.state.get_clocks(uniq_hosts)
-        host_delays = self._host_delays
-        if self.adaptive_pct is not None:
-            # one batched latency-stats RPC per shard per wave, like clocks
-            host_delays = adaptive_host_delays(
-                uniq_hosts, self.delay_ms, host_delays,
-                self.adaptive_pct, self.state.get_lat(uniq_hosts),
-            )
-        return slot_block(
-            group, clocks, self._chain_idx, self.delay_ms, host_delays,
-            conns=self.conns,
-        )
-
-
-def assign_slots(
-    ds: rd.Dataset, state, chain_idx_ref, delay_ms: int, n_shards: int | None = None,
-    host_delays_ref=None, adaptive_pct: int | None = None, conns: int = 1,
-) -> rd.Dataset:
-    from ..state.shards import shards_of
-    from .frontier_ops import _cluster_shards
-
-    if n_shards is None:
-        n_shards = _cluster_shards(_SLOT_SHARDS)
-
-    def add_shard(t: pa.Table) -> pa.Table:
-        sh = shards_of(t.column("host").to_pylist(), n_shards)
-        return t.append_column("_hshard", pa.array(sh, pa.int64()))
-
-    assigner = ShardSlotAssigner(
-        state, chain_idx_ref, delay_ms, host_delays_ref, adaptive_pct, conns
-    )
-
-    def assign(group: pa.Table) -> pa.Table:  # map_groups wants a plain fn
-        return assigner(group)
-
-    ds = ds.map_batches(add_shard, batch_format="pyarrow")
-    return ds.groupby("_hshard").map_groups(assign, batch_format="pyarrow")

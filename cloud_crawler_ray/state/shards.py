@@ -94,8 +94,8 @@ class StatePartition:
         self.lat: dict[str, tuple[int, int]] = {}
         # transient per-wave first-wins claims (in-wave dedup without a
         # shuffle): wave → {canonical_url: min (parent_seq, ordinal)}.
-        # Registered by candidate PRODUCERS (fetch tasks / spill writer /
-        # seeds pass), consumed by admit_frontier during the next wave's
+        # Registered by candidate PRODUCERS (fetch tasks / the driver for a
+        # job_limit spill / the fallback pass), consumed by admit_frontier during the next wave's
         # planning, cleared at that wave's commit. Never checkpointed — a
         # resumed plan re-registers via the fallback claim pass.
         self.claims: dict[int, dict[str, tuple[int, int]]] = {}
@@ -112,29 +112,14 @@ class StatePartition:
             for k, hit in zip(keys, self.bloom.contains_many(keys))
         ]
 
-    def _insert(self, new: list[str]) -> None:
-        """Mark *new* (distinct keys, none seen yet) and list them as fresh."""
+    def add(self, keys: list[str]) -> int:
+        """Mark *keys* and list the ones not seen before as fresh, in first
+        occurrence order; returns the seen count."""
+        new = [k for k in dict.fromkeys(keys) if k not in self.seen]
         self.seen.update(new)
         self.bloom.add_many(new)
         self.fresh.extend(new)
-
-    def add(self, keys: list[str]) -> int:
-        self._insert([k for k in dict.fromkeys(keys) if k not in self.seen])
         return len(self.seen)
-
-    def check_and_add(self, keys: list[str]) -> list[bool]:
-        """Atomic first-wins admission (in-shard serialization — the queue
-        analog). Returns True where the key was newly admitted: only its
-        first occurrence in *keys*."""
-        new: dict[str, None] = {}
-        out = []
-        for k, unseen in zip(keys, self.check(keys)):
-            first = unseen and k not in new
-            if first:
-                new[k] = None
-            out.append(first)
-        self._insert(list(new))
-        return out
 
     def take_fresh(self) -> list[str]:
         """The keys inserted since the last call, in insertion order; clears
@@ -252,7 +237,7 @@ class ShardedState:
     actor per partition, constructed with every field, after which the
     state lives only in the actors and a pickle ships their handles. The
     crawl promotes before a
-    task must write (a claim pass, a spill writer, a resume replay) and
+    task must write (the fallback claim pass, a resume replay) and
     once its committed job count passes the small-wave threshold, which
     also bounds the size of a task's copy. Every method batches per shard
     (one call per shard, never per key): a direct call on a partition

@@ -76,9 +76,9 @@ def test_resume_after_crash_before_first_commit(ray_session, tmp_path):
 
 
 def test_distributed_planner_matches(ray_session, tmp_path):
-    """small_wave_threshold=0 forces the fully distributed plan path
-    (groupby dedup, sharded anti-join, sort+zip_with_index, groupby(host)
-    slots); must be row-identical to the oracle."""
+    """small_wave_threshold=0 forces the distributed planner on every wave
+    (claim pass, sharded admission, sort+zip_with_index, then the driver's
+    slot tail); must be row-identical to the oracle."""
     web, seeds = webs.redirect_web()
     spec = CrawlSpec(delay=0.3, keep_redirects=True)
     res = crawl_oracle(web, seeds, spec)

@@ -4,6 +4,8 @@ commits to the max lane end — the reference's connection pool
 (http.rb:219-240) made explicit. Oracle-parity on both planners; k=1 must
 be byte-identical to the serial model."""
 
+import pytest
+
 from cloud_crawler_ray.oracle import crawl_oracle
 from cloud_crawler_ray.pipelines.crawl import crawl
 from cloud_crawler_ray.spec import CrawlSpec
@@ -63,8 +65,13 @@ def test_one_lane_is_serial_model(ray_session, tmp_path):
     assert_parity(res, handle)
 
 
-def test_lanes_compose_with_adaptive_delay(ray_session, tmp_path):
+@pytest.mark.parametrize(
+    "small_wave_threshold", [100_000, 0], ids=["local", "distributed"]
+)
+def test_lanes_compose_with_adaptive_delay(ray_session, tmp_path, small_wave_threshold):
     web, seeds = wide_host_web(10)
     spec = CrawlSpec(delay=0.05, host_connections=2, adaptive_delay_pct=200)
-    res, handle = run_both(web, seeds, spec, tmp_path)
+    res, handle = run_both(
+        web, seeds, spec, tmp_path, small_wave_threshold=small_wave_threshold
+    )
     assert_parity(res, handle)

@@ -10,6 +10,8 @@ and politeness clocks shift."""
 import glob
 import os
 
+import pytest
+
 from cloud_crawler_ray.oracle import crawl_oracle
 from cloud_crawler_ray.pipelines.crawl import crawl
 from cloud_crawler_ray.spec import CrawlSpec
@@ -98,11 +100,17 @@ def test_priority_queue_distributed(ray_session, tmp_path):
     assert_parity(res, handle)
 
 
-def test_priority_with_job_limit_is_best_first(ray_session, tmp_path):
-    """With a cap, the kept jobs are the TOP-priority ones; the rest spill."""
+@pytest.mark.parametrize(
+    "small_wave_threshold", [100_000, 0], ids=["local", "distributed"]
+)
+def test_priority_with_job_limit_is_best_first(ray_session, tmp_path, small_wave_threshold):
+    """With a cap, the kept jobs are the TOP-priority ones; the rest spill —
+    on either planner."""
     web, seeds = webs.branching_web(branch=3, depth=2)
     spec = CrawlSpec(priority_fn=_prefer_branch_2, job_limit=2)
-    res, handle = run_both(web, seeds, spec, tmp_path)
+    res, handle = run_both(
+        web, seeds, spec, tmp_path, small_wave_threshold=small_wave_threshold
+    )
     assert_parity(res, handle)
     order = [
         r["url"].rsplit("/", 1)[1]

@@ -53,8 +53,6 @@ def test_partition_add_keeps_first_occurrence_order():
     assert p.add(["c", "a", "d", "c", "b", "e"]) == 5
     assert p.take_fresh() == ["c", "d", "e"]
     assert p.check(["a", "z", "e"]) == [False, True, False]
-    assert p.check_and_add(["z", "a", "z", "y"]) == [True, False, False, True]
-    assert p.take_fresh() == ["z", "y"]
 
 
 def test_cuckoo_add_contains_delete():
@@ -101,19 +99,6 @@ def test_shards_check_add_and_clocks(ray_session):
             state2.shutdown()
     finally:
         state.shutdown()
-
-
-def test_shard_check_and_add_first_wins(ray_session):
-    from cloud_crawler_ray.state.shards import StateShard
-
-    import ray
-
-    s = StateShard.remote(0)
-    try:
-        out = ray.get(s.check_and_add.remote(["a", "b", "a", "c", "b"]))
-        assert out == [True, True, False, True, False]
-    finally:
-        ray.kill(s)
 
 
 def test_cookie_store_merge_expiry():

@@ -35,6 +35,9 @@ def test_traced_crawl_counts_waves(ray_session, tmp_path, small_wave_threshold, 
     other = "distributed_waves" if kind == "local_waves" else "local_waves"
     assert tracer.counts[other] == 0
     assert any(s.name.startswith("state.") for s in tracer.spans)
+    # both planners slot a wave on the driver, in one slot_block call
+    slot_spans = [s for s in tracer.spans if s.name == "politeness.slot_block"]
+    assert len(slot_spans) == handle.waves
 
 
 def test_traced_handoff_crawl_keeps_state_in_driver(ray_session, tmp_path):
