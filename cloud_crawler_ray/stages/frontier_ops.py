@@ -76,9 +76,9 @@ def _cluster_shards(floor: int = _DEDUP_SHARDS) -> int:
 # hash shuffle each wave. The claim protocol avoids it: whoever PRODUCES a
 # candidate in a distributed-planned wave (the fetch task emitting
 # children, the driver cutting the job_limit spill, the seeds pass)
-# registers a first-wins claim —
-# canonical_url → min (parent_seq, ordinal) — on the same state shards that
-# hold the seen set (idempotent min-merge, so task retries are safe). The
+# registers a first-wins claim — canonical_url → min (parent_seq, ordinal) —
+# on the same state shards that hold the seen set (idempotent min-merge, so
+# task retries are safe). The
 # producing wave's execution is the barrier: by the time wave W+1 plans,
 # every claim for it is committed.
 # Planning then needs only a map-side filter (`admit_frontier`) that asks

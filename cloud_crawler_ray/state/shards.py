@@ -95,9 +95,10 @@ class StatePartition:
         # transient per-wave first-wins claims (in-wave dedup without a
         # shuffle): wave → {canonical_url: min (parent_seq, ordinal)}.
         # Registered by candidate PRODUCERS (fetch tasks / the driver for a
-        # job_limit spill / the fallback pass), consumed by admit_frontier during the next wave's
-        # planning, cleared at that wave's commit. Never checkpointed — a
-        # resumed plan re-registers via the fallback claim pass.
+        # job_limit spill / the fallback pass), consumed by admit_frontier
+        # during the next wave's planning, cleared at that wave's commit.
+        # Never checkpointed — a resumed plan re-registers via the fallback
+        # claim pass.
         self.claims: dict[int, dict[str, tuple[int, int]]] = {}
         self.fresh: list[str] = []
 
